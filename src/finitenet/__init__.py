@@ -26,16 +26,14 @@ from .errors import (InvalidParameterError, ModelInconsistencyError,
 from .geometry import (DistanceProfile, Region, disk_region, distance_profile,
                        inside_arc_measure, make_fig2_region,
                        make_regular_polygon, pdf_disk_closed_form,
-                       pdf_regular_polygon_center, polygon_region,
-                       reference_point, region_contains, segment_corner_pdf)
+                       polygon_region, reference_point, region_contains)
 from .mgf import (EulerInversionParams, euler_invert_cdf, inner_expectation,
-                  outage_mgf, phi_closed_form)
+                  outage_mgf)
 from .montecarlo import (EmpiricalCdf, McEstimate, sample_uniform_in_region,
                          simulate_distance_distribution, simulate_outage)
 from .rlpg import (OmegaExpectationTable, expectation_omega,
                    omega_expectation_table, outage_disk_center,
-                   outage_general_family, outage_rlpg, outage_rlpg_for_counts,
-                   psi_closed_form)
+                   outage_general_family, outage_rlpg, outage_rlpg_for_counts)
 from .scenario import OutageResult, Scenario
 from .specfun import (enumerate_weighted_partitions, gauss_2f1, ln_gamma,
                       upper_incomplete_gamma_regularized)
@@ -82,14 +80,10 @@ __all__ = [
     "outage_rlpg",
     "outage_rlpg_for_counts",
     "pdf_disk_closed_form",
-    "pdf_regular_polygon_center",
-    "phi_closed_form",
     "polygon_region",
-    "psi_closed_form",
     "reference_point",
     "region_contains",
     "sample_uniform_in_region",
-    "segment_corner_pdf",
     "simulate_distance_distribution",
     "simulate_outage",
     "upper_incomplete_gamma_regularized",

@@ -345,11 +345,10 @@ def build_scenario(cfg):
                     alpha=cfg.alpha, beta=cfg.beta, rho0=cfg.rho0)
 
 
-def scenario_fingerprint(cfg):
-    """Short stable digest of the resolved scenario (geometry and link
-    parameters; evaluation settings excluded)."""
-    region = build_region(cfg)
-    xy = resolve_receiver(cfg, region)
+def scenario_fingerprint(cfg, sc):
+    """Short stable digest of the resolved scenario sc built from cfg
+    (geometry and link parameters; evaluation settings excluded)."""
+    xy = sc.receiver.xy
     p = cfg.region_params
     if cfg.region_type == "disk":
         rp = [p["center"][0], p["center"][1], p["radius"]]
@@ -386,10 +385,9 @@ def resolve_method(cfg, override=None):
     return "mgf"
 
 
-def evaluate_scenario(cfg, method):
-    """Evaluate one scenario with one engine. Returns (outage, std_error);
-    std_error is None for the non-statistical engines."""
-    sc = build_scenario(cfg)
+def evaluate_scenario(cfg, sc, method):
+    """Evaluate the scenario sc built from cfg with one engine. Returns
+    (outage, std_error); std_error is None for the non-statistical engines."""
     if method == "rlpg":
         return outage_rlpg(sc).outage, None
     if method == "mgf":
@@ -481,10 +479,11 @@ def sweep_rows(cfg, variable, values, methods):
     order regardless of scheduling."""
     def eval_point(value):
         point = apply_sweep_value(cfg, variable, value)
-        row = [scenario_fingerprint(point), value]
+        sc = build_scenario(point)
+        row = [scenario_fingerprint(point, sc), value]
         std = None
         for meth in methods:
-            outage, err = evaluate_scenario(point, meth)
+            outage, err = evaluate_scenario(point, sc, meth)
             row.append(outage)
             if meth == "mc":
                 std = err
@@ -510,15 +509,15 @@ def _nearest_crossing(under, eps_under, eps_over, target):
     return under + 1, eps_over
 
 
-def max_supported_interferers(cfg, target, method):
-    """Interferer count at which the (nondecreasing) outage curve crosses the
-    target, rounded to the nearest count. Returns (m_star, outage_at_m_star,
-    feasible); an infeasible target (outage above it already with zero
-    interferers) reports (0, outage0, False)."""
+def max_supported_interferers(cfg, sc, target, method):
+    """Interferer count at which the (nondecreasing) outage curve of the
+    scenario sc built from cfg crosses the target, rounded to the nearest
+    count. Returns (m_star, outage_at_m_star, feasible); an infeasible target
+    (outage above it already with zero interferers) reports
+    (0, outage0, False)."""
     if not 0.0 < target < 1.0:
         raise ScenarioParseError(f"outage target must be in (0, 1), got {target}")
     if method == "rlpg":
-        sc = build_scenario(replace(cfg, num_interferers=0))
         hi = 64
         while True:
             eps = outage_rlpg_for_counts(sc, range(hi + 1))
@@ -537,11 +536,12 @@ def max_supported_interferers(cfg, target, method):
     if method != "mgf":
         raise ScenarioParseError(
             "the interferer-count search needs an analytic method (rlpg or mgf)")
-    prev, _ = evaluate_scenario(replace(cfg, num_interferers=0), "mgf")
+    prev, _ = evaluate_scenario(cfg, replace(sc, num_interferers=0), "mgf")
     if prev > target:
         return 0, prev, False
     for count in range(1, _MAXM_CAP + 1):
-        eps, _ = evaluate_scenario(replace(cfg, num_interferers=count), "mgf")
+        eps, _ = evaluate_scenario(cfg, replace(sc, num_interferers=count),
+                                   "mgf")
         if eps > target:
             m_star, eps_star = _nearest_crossing(count - 1, prev, eps, target)
             return m_star, eps_star, True
@@ -585,11 +585,11 @@ def _load_cfg(args):
 def cmd_run(args):
     cfg = _load_cfg(args)
     method = resolve_method(cfg, args.method)
-    outage, std = evaluate_scenario(cfg, method)
-    region = build_region(cfg)
-    xy = resolve_receiver(cfg, region)
-    row = [scenario_fingerprint(cfg), method, cfg.region_type, xy[0], xy[1],
-           cfg.r0, cfg.num_interferers, cfg.m0, cfg.m, cfg.alpha,
+    sc = build_scenario(cfg)
+    outage, std = evaluate_scenario(cfg, sc, method)
+    xy = sc.receiver.xy
+    row = [scenario_fingerprint(cfg, sc), method, cfg.region_type,
+           xy[0], xy[1], cfg.r0, cfg.num_interferers, cfg.m0, cfg.m, cfg.alpha,
            cfg.beta_db, cfg.snr_db, outage, std]
     emit_csv([row], args.out, RUN_HEADER)
     extra = f" std_error={_fmt(std)}" if std is not None else ""
@@ -618,8 +618,10 @@ def cmd_sweep(args):
 def cmd_maxm(args):
     cfg = _load_cfg(args)
     method = resolve_method(cfg, args.method)
-    m_star, outage, feasible = max_supported_interferers(cfg, args.target, method)
-    row = [scenario_fingerprint(cfg), method, args.target, m_star, outage,
+    sc = build_scenario(cfg)
+    m_star, outage, feasible = max_supported_interferers(cfg, sc, args.target,
+                                                         method)
+    row = [scenario_fingerprint(cfg, sc), method, args.target, m_star, outage,
            feasible]
     emit_csv([row], args.out, MAXM_HEADER)
     print(f"max_interferers={m_star} outage_at_max={_fmt(outage)} "

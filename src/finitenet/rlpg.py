@@ -14,10 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .channel import NakagamiChannel
 from .errors import InvalidParameterError, NumericFailure, UnsupportedModelError
-from .geometry import _as_xy
+from .geometry import disk_region
 from .quadrature import adaptive_rows_quad
-from .scenario import OutageResult
+from .scenario import OutageResult, Scenario
 from .specfun import enumerate_weighted_partitions, gauss_2f1, ln_gamma
 
 _INTEGER_TOL = 1e-9
@@ -33,12 +34,10 @@ _RLPG_ABS_ERROR = 1e-9
 class OmegaExpectationTable:
     """Per-scenario cache of the interferer moments.
 
-    values[t] = E{ exp(-c G R^{-alpha}) (G R^{-alpha})^t } for the scenario
-    identified by ``fingerprint``; every entry is positive and finite and
-    values[0] never exceeds 1.
+    values[t] = E{ exp(-c G R^{-alpha}) (G R^{-alpha})^t }; every entry is
+    positive and finite and values[0] never exceeds 1.
     """
     values: tuple
-    fingerprint: str
 
 
 def _kernel_rows(r, ts, m, alpha, c):
@@ -67,12 +66,20 @@ def _psi_core(theta, upsilon, tau, m, alpha, c, area):
     return theta / (area * (2.0 + am)) * math.exp(logw) * f21.real
 
 
-def _piece_quadrature(theta, lo, hi, ts, m, alpha, c, area, rel_tol):
-    def rows(r):
-        return _kernel_rows(r, ts, m, alpha, c) * (theta * r / area)[None, :]
+def _constant_piece(theta, lo, hi, t, m, alpha, c, area):
+    """Moment contribution of a constant-angle piece [lo, hi] (density
+    theta*r/area there): a difference of closed forms, or direct quadrature
+    of the same piece if the hypergeometric evaluation fails."""
+    try:
+        return (_psi_core(theta, hi, t, m, alpha, c, area)
+                - _psi_core(theta, lo, t, m, alpha, c, area))
+    except NumericFailure:
+        def rows(r):
+            return (_kernel_rows(r, np.array([t]), m, alpha, c)
+                    * (theta * r / area)[None, :])
 
-    vals, _ = adaptive_rows_quad(rows, lo, hi, rel_tol=rel_tol)
-    return vals
+        vals, _ = adaptive_rows_quad(rows, lo, hi, rel_tol=_OMEGA_REL_TOL)
+        return float(vals[0])
 
 
 def psi_closed_form(theta, upsilon, tau, m, m0, alpha, r0, beta, area):
@@ -83,17 +90,10 @@ def psi_closed_form(theta, upsilon, tau, m, m0, alpha, r0, beta, area):
     if upsilon < 0.0:
         raise InvalidParameterError(f"piece radius must be >= 0, got {upsilon}")
     c = beta * r0 ** alpha * m0
-    try:
-        return _psi_core(theta, upsilon, tau, m, alpha, c, area)
-    except NumericFailure:
-        if upsilon == 0.0:
-            return 0.0
-        vals = _piece_quadrature(theta, 0.0, upsilon, np.array([tau]), m,
-                                 alpha, c, area, _OMEGA_REL_TOL)
-        return float(vals[0])
+    return _constant_piece(theta, 0.0, upsilon, tau, m, alpha, c, area)
 
 
-def _omega_values(profile, ts, m, alpha, c, rel_tol=_OMEGA_REL_TOL):
+def _omega_values(profile, ts, m, alpha, c):
     """E{Omega_t} for each exponent in ts, sharing one pass over the profile.
 
     Constant-angle pieces are evaluated as differences of the closed form;
@@ -107,14 +107,8 @@ def _omega_values(profile, ts, m, alpha, c, rel_tol=_OMEGA_REL_TOL):
         if theta == 0.0:
             continue
         for i, t in enumerate(ts):
-            try:
-                v = (_psi_core(theta, hi, t, m, alpha, c, profile.area)
-                     - _psi_core(theta, lo, t, m, alpha, c, profile.area))
-            except NumericFailure:
-                v = float(_piece_quadrature(theta, lo, hi,
-                                            np.array([t]), m, alpha, c,
-                                            profile.area, rel_tol)[0])
-            total[i] += v
+            total[i] += _constant_piece(theta, lo, hi, t, m, alpha, c,
+                                        profile.area)
 
     edges = np.concatenate([[0.0], profile.breakpoints])
 
@@ -145,7 +139,7 @@ def _omega_values(profile, ts, m, alpha, c, rel_tol=_OMEGA_REL_TOL):
             return _kernel_rows(r, ts, m, alpha, c) * profile.pdf(r)[None, :]
 
         vals, _ = adaptive_rows_quad(rows, a, b, breakpoints=inner,
-                                     rel_tol=rel_tol)
+                                     rel_tol=_OMEGA_REL_TOL)
         total += vals.real if np.iscomplexobj(vals) else vals
     return total
 
@@ -167,14 +161,15 @@ def expectation_omega(profile, t, m, m0, alpha, r0, beta):
     return float(_omega_values(profile, [int(t)], m, alpha, c)[0])
 
 
-def _fingerprint(scenario, c):
-    reg = scenario.region
-    x, y = _as_xy(scenario.receiver)
-    ch = scenario.channel
-    return (f"kind={reg.kind} area={reg.area:.17g} y0=({x:.17g},{y:.17g}) "
-            f"r0={scenario.r0:.17g} M={scenario.num_interferers} "
-            f"m0={ch.m0:.17g} m={ch.m:.17g} alpha={scenario.alpha:.17g} "
-            f"beta={scenario.beta:.17g} c={c:.17g}")
+def _moment_values(profile, scenario, rate, count):
+    """E{Omega_t} for t < count at the tilt c = rate * beta * r0^alpha,
+    checked positive and finite."""
+    c = scenario.beta * scenario.r0 ** scenario.alpha * rate
+    vals = _omega_values(profile, range(count), scenario.channel.m,
+                         scenario.alpha, c)
+    if not np.all(np.isfinite(vals)) or np.any(vals <= 0.0):
+        raise NumericFailure(f"moment table is not positive finite: {vals}")
+    return tuple(float(v) for v in vals)
 
 
 def omega_expectation_table(scenario):
@@ -186,13 +181,8 @@ def omega_expectation_table(scenario):
             f"reference fading shape {ch.m0} is not a positive integer; "
             "use outage_mgf for real-valued shapes")
     m0 = int(round(ch.m0))
-    c = scenario.beta * scenario.r0 ** scenario.alpha * m0
-    vals = _omega_values(scenario.profile(), range(m0), ch.m,
-                         scenario.alpha, c)
-    if not np.all(np.isfinite(vals)) or np.any(vals <= 0.0):
-        raise NumericFailure(f"moment table is not positive finite: {vals}")
-    return OmegaExpectationTable(values=tuple(float(v) for v in vals),
-                                 fingerprint=_fingerprint(scenario, c))
+    return OmegaExpectationTable(
+        values=_moment_values(scenario.profile(), scenario, m0, m0))
 
 
 def _interference_moment_sums(values, num_interferers, max_j):
@@ -214,12 +204,18 @@ def _interference_moment_sums(values, num_interferers, max_j):
     return out
 
 
-def _threshold_powers_sum(s_values, k, beta_over_rho0, beta_r0_alpha):
-    tot = 0.0
-    for j in range(k + 1):
-        tot += (math.comb(k, j) * beta_over_rho0 ** (k - j)
-                * beta_r0_alpha ** j * s_values[j])
-    return tot
+def _tilted_average(values, num_interferers, rate, terms, br, ba):
+    """E{ e^{-rate X} sum_k a_k X^k } over X = br + ba * I, for the (k, a_k)
+    pairs in terms, where I is the aggregate of num_interferers i.i.d. nodes
+    whose moment table (at tilt rate * ba) is values. Each X^k is a binomial
+    combination of the aggregate moments S_j; those reduce to the per-node
+    table via exchangeability."""
+    svals = _interference_moment_sums(values, num_interferers,
+                                      max(k for k, _ in terms))
+    return math.exp(-rate * br) * sum(
+        a * sum(math.comb(k, j) * br ** (k - j) * ba ** j * svals[j]
+                for j in range(k + 1))
+        for k, a in terms)
 
 
 def _clamp_unit(raw, context):
@@ -240,25 +236,11 @@ def outage_rlpg(scenario):
     """Outage probability for integer reference shape m0.
 
     The exponential-polynomial CDF of the reference gain turns the outage
-    average into m0 threshold powers, each a binomial combination of the
-    aggregate-interference moments S_j; those reduce to the per-node table
-    via exchangeability.
+    average into m0 threshold powers of the aggregate interference.
     """
-    table = omega_expectation_table(scenario)
-    m0 = int(round(scenario.channel.m0))
-    br = scenario.beta / scenario.rho0
-    ba = scenario.beta * scenario.r0 ** scenario.alpha
-    svals = _interference_moment_sums(table.values,
-                                      scenario.num_interferers, m0 - 1)
-    acc = 0.0
-    kfact = 1.0
-    for k in range(m0):
-        if k:
-            kfact *= k
-        acc += m0 ** k / kfact * _threshold_powers_sum(svals, k, br, ba)
-    raw = 1.0 - math.exp(-m0 * br) * acc
-    return OutageResult(outage=_clamp_unit(raw, "outage assembly"),
-                        method="rlpg", abs_error=_RLPG_ABS_ERROR)
+    outage, = outage_rlpg_for_counts(scenario, [scenario.num_interferers])
+    return OutageResult(outage=outage, method="rlpg",
+                        abs_error=_RLPG_ABS_ERROR)
 
 
 def outage_rlpg_for_counts(scenario, counts):
@@ -266,6 +248,7 @@ def outage_rlpg_for_counts(scenario, counts):
     table does not depend on the count). Returns a list of floats."""
     table = omega_expectation_table(scenario)
     m0 = int(round(scenario.channel.m0))
+    terms = [(k, m0 ** k / math.factorial(k)) for k in range(m0)]
     br = scenario.beta / scenario.rho0
     ba = scenario.beta * scenario.r0 ** scenario.alpha
     out = []
@@ -273,51 +256,19 @@ def outage_rlpg_for_counts(scenario, counts):
         if num != int(num) or num < 0:
             raise InvalidParameterError(
                 f"interferer count must be integer >= 0, got {num}")
-        svals = _interference_moment_sums(table.values, int(num), m0 - 1)
-        acc = 0.0
-        kfact = 1.0
-        for k in range(m0):
-            if k:
-                kfact *= k
-            acc += m0 ** k / kfact * _threshold_powers_sum(svals, k, br, ba)
-        out.append(_clamp_unit(1.0 - math.exp(-m0 * br) * acc,
-                               "outage assembly"))
+        raw = 1.0 - _tilted_average(table.values, int(num), m0, terms, br, ba)
+        out.append(_clamp_unit(raw, "outage assembly"))
     return out
 
 
 def outage_disk_center(W, r0, M, m0, m, alpha, beta, rho0):
-    """Receiver at the center of a disk of radius W: every moment is a single
-    closed-form evaluation (the arc angle is 2*pi over the whole range), no
-    distance-profile machinery involved."""
-    if not W > 0:
-        raise InvalidParameterError(f"disk radius must be positive, got {W}")
-    if not r0 > 0:
-        raise InvalidParameterError(f"link distance must be positive, got {r0}")
-    if M != int(M) or M < 0:
-        raise InvalidParameterError(f"interferer count must be integer >= 0, got {M}")
-    if m0 != int(m0) or m0 < 1:
-        raise UnsupportedModelError(
-            f"reference fading shape {m0} is not a positive integer; "
-            "use outage_mgf for real-valued shapes")
-    if not (beta > 0 and rho0 > 0):
-        raise InvalidParameterError("threshold and SNR must be positive")
-    m0 = int(m0)
-    M = int(M)
-    area = math.pi * W * W
-    values = [psi_closed_form(2.0 * math.pi, W, t, m, m0, alpha, r0, beta, area)
-              for t in range(m0)]
-    br = beta / rho0
-    ba = beta * r0 ** alpha
-    svals = _interference_moment_sums(values, M, m0 - 1)
-    acc = 0.0
-    kfact = 1.0
-    for k in range(m0):
-        if k:
-            kfact *= k
-        acc += m0 ** k / kfact * _threshold_powers_sum(svals, k, br, ba)
-    raw = 1.0 - math.exp(-m0 * br) * acc
-    return OutageResult(outage=_clamp_unit(raw, "outage assembly"),
-                        method="rlpg", abs_error=_RLPG_ABS_ERROR)
+    """Receiver at the center of a disk of radius W. The arc angle is 2*pi
+    over the whole range, so every moment is a single closed-form
+    evaluation."""
+    return outage_rlpg(Scenario(
+        region=disk_region((0.0, 0.0), W), receiver=(0.0, 0.0), r0=r0,
+        num_interferers=M, channel=NakagamiChannel(m0=m0, m=m), alpha=alpha,
+        beta=beta, rho0=rho0))
 
 
 def outage_general_family(scenario, reference_cdf):
@@ -326,27 +277,18 @@ def outage_general_family(scenario, reference_cdf):
     fading. One moment table per decay rate n (the moments depend on n
     through the exponential tilt)."""
     prof = scenario.profile()
-    m = scenario.channel.m
-    alpha = scenario.alpha
-    r0 = scenario.r0
     br = scenario.beta / scenario.rho0
-    ba = scenario.beta * r0 ** alpha
-
+    ba = scenario.beta * scenario.r0 ** scenario.alpha
     groups = {}
     for n, k, a in reference_cdf.terms:
         groups.setdefault(n, []).append((k, a))
 
     acc = 0.0
     for n in sorted(groups):
-        terms_n = groups[n]
-        kmax = max(k for k, _ in terms_n)
-        c = scenario.beta * r0 ** alpha * n
-        values = _omega_values(prof, range(kmax + 1), m, alpha, c)
-        svals = _interference_moment_sums(values, scenario.num_interferers,
-                                          kmax)
-        part = sum(a * _threshold_powers_sum(svals, k, br, ba)
-                   for k, a in terms_n)
-        acc += math.exp(-n * br) * part
-    raw = 1.0 - acc
-    return OutageResult(outage=_clamp_unit(raw, "outage assembly"),
+        terms = groups[n]
+        values = _moment_values(prof, scenario, n,
+                                max(k for k, _ in terms) + 1)
+        acc += _tilted_average(values, scenario.num_interferers, n, terms,
+                               br, ba)
+    return OutageResult(outage=_clamp_unit(1.0 - acc, "outage assembly"),
                         method="rlpg", abs_error=_RLPG_ABS_ERROR)

@@ -18,8 +18,8 @@ from finitenet import (NakagamiChannel, Scenario, disk_region,
                        omega_expectation_table, outage_mgf,
                        outage_ppp_rayleigh, outage_rlpg,
                        outage_rlpg_for_counts, simulate_outage)
-from finitenet.cli import (emit_csv, max_supported_interferers,
-                           parse_scenario_config)
+from finitenet.cli import (build_scenario, emit_csv,
+                           max_supported_interferers, parse_scenario_config)
 from finitenet.quadrature import adaptive_quad
 
 D_GRID = (0.0, 25.0, 50.0, 75.0, 100.0)
@@ -73,7 +73,8 @@ def _maxm(region_spec, receiver_spec, m, alpha):
         "region": region_spec, "receiver": receiver_spec,
         "r0": 5.0, "M": 10, "m0": m, "m": m, "alpha": alpha,
         "beta_db": 0.0, "snr_db": 20.0})
-    m_star, eps_star, feasible = max_supported_interferers(cfg, 0.05, "rlpg")
+    m_star, eps_star, feasible = max_supported_interferers(
+        cfg, build_scenario(cfg), 0.05, "rlpg")
     assert feasible
     return m_star
 

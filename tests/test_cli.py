@@ -189,28 +189,32 @@ def test_ppp_density_default_and_override():
     cfg = parse_scenario_config(raw)
     from finitenet import outage_ppp_rayleigh
     area = build_region(cfg).area
-    implied, _ = evaluate_scenario(cfg, "ppp")
+    implied, _ = evaluate_scenario(cfg, build_scenario(cfg), "ppp")
     assert implied == pytest.approx(
         outage_ppp_rayleigh(10.0 / area, 5.0, 2.5, 1.0, 100.0).outage,
         rel=1e-14)
     raw["density"] = 2e-3
-    forced, _ = evaluate_scenario(parse_scenario_config(raw), "ppp")
+    forced_cfg = parse_scenario_config(raw)
+    forced, _ = evaluate_scenario(forced_cfg, build_scenario(forced_cfg),
+                                  "ppp")
     assert forced == pytest.approx(
         outage_ppp_rayleigh(2e-3, 5.0, 2.5, 1.0, 100.0).outage, rel=1e-14)
 
 
 def test_fingerprint_ignores_evaluation_knobs():
     from dataclasses import replace
+    def fingerprint(cfg):
+        return scenario_fingerprint(cfg, build_scenario(cfg))
+
     cfg = parse_scenario_config(_base_raw())
-    fp = scenario_fingerprint(cfg)
+    fp = fingerprint(cfg)
     assert len(fp) == 12 and all(c in "0123456789abcdef" for c in fp)
     same = replace(cfg, method="mc", mc_trials=5, mc_seed=9,
                    quadrature_rel_tol=1e-8,
                    inversion=EulerInversionParams.from_accuracy_digits(6))
-    assert scenario_fingerprint(same) == fp
-    assert scenario_fingerprint(replace(cfg, alpha=3.0)) != fp
-    assert scenario_fingerprint(
-        replace(cfg, receiver_params={"d": 1.0})) != fp
+    assert fingerprint(same) == fp
+    assert fingerprint(replace(cfg, alpha=3.0)) != fp
+    assert fingerprint(replace(cfg, receiver_params={"d": 1.0})) != fp
 
 
 # ----- run subcommand -----
@@ -265,13 +269,35 @@ def test_unwritable_output_is_exit_two(tmp_path, capsys):
 def test_numeric_failure_is_exit_three(tmp_path, capsys, monkeypatch):
     path = _write(tmp_path, _base_raw())
 
-    def boom(cfg, method):
+    def boom(cfg, sc, method):
         raise NumericFailure("synthetic convergence failure")
 
     monkeypatch.setattr(cli, "evaluate_scenario", boom)
     rc = main(["run", "--scenario", path, "--out", str(tmp_path / "o.csv")])
     assert rc == 3
     assert "synthetic" in capsys.readouterr().err
+
+
+def test_geometry_built_once_per_row(tmp_path, monkeypatch):
+    calls = []
+
+    def counted(cfg):
+        calls.append(cfg)
+        return build_region(cfg)
+
+    monkeypatch.setattr(cli, "build_region", counted)
+    path = _write(tmp_path, _base_raw(mc={"trials": 1 << 10}))
+    out = str(tmp_path / "o.csv")
+    assert main(["run", "--scenario", path, "--out", out]) == 0
+    assert len(calls) == 1
+    calls.clear()
+    assert main(["sweep", "--scenario", path, "--out", out, "--variable",
+                 "d", "--values", "0,50,100", "--method", "rlpg,mc"]) == 0
+    assert len(calls) == 3
+    calls.clear()
+    assert main(["maxm", "--scenario", path, "--out", out,
+                 "--target", "0.05"]) == 0
+    assert len(calls) == 1
 
 
 # ----- sweeps -----
@@ -386,11 +412,12 @@ def test_maxm_infeasible_target(tmp_path):
 
 def test_maxm_target_validation(tmp_path, capsys):
     cfg = parse_scenario_config(_base_raw())
+    sc = build_scenario(cfg)
     for bad in (0.0, 1.0, -0.2, 1.7):
         with pytest.raises(ScenarioParseError):
-            max_supported_interferers(cfg, bad, "rlpg")
+            max_supported_interferers(cfg, sc, bad, "rlpg")
     with pytest.raises(ScenarioParseError, match="analytic"):
-        max_supported_interferers(cfg, 0.05, "mc")
+        max_supported_interferers(cfg, sc, 0.05, "mc")
     path = _write(tmp_path, _base_raw())
     assert main(["maxm", "--scenario", path, "--out",
                  str(tmp_path / "o.csv"), "--target", "1.5"]) == 2
@@ -399,9 +426,10 @@ def test_maxm_target_validation(tmp_path, capsys):
 
 def test_maxm_nearest_crossing_prefers_closer_count():
     cfg = parse_scenario_config(_base_raw(alpha=6.0))
-    m_star, eps_star, feasible = max_supported_interferers(cfg, 0.05, "rlpg")
-    assert feasible
     sc = build_scenario(cfg)
+    m_star, eps_star, feasible = max_supported_interferers(cfg, sc, 0.05,
+                                                           "rlpg")
+    assert feasible
     from finitenet import outage_rlpg_for_counts
     eps = outage_rlpg_for_counts(sc, range(m_star + 2))
     below = eps[m_star] if eps[m_star] <= 0.05 else eps[m_star - 1]

@@ -13,8 +13,8 @@ import pytest
 from finitenet import (InvalidParameterError, disk_region, distance_profile,
                        inside_arc_measure, make_fig2_region,
                        make_regular_polygon, pdf_disk_closed_form,
-                       pdf_regular_polygon_center, polygon_region,
-                       reference_point, region_contains, segment_corner_pdf)
+                       polygon_region, reference_point, region_contains)
+from finitenet.geometry import pdf_regular_polygon_center, segment_corner_pdf
 from finitenet.quadrature import adaptive_quad
 
 TWO_PI = 2.0 * math.pi

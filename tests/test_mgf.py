@@ -11,7 +11,8 @@ from finitenet import (EulerInversionParams, InvalidParameterError,
                        NakagamiChannel, NumericFailure, Scenario, disk_region,
                        distance_profile, euler_invert_cdf, inner_expectation,
                        make_fig2_region, nakagami_power_gain_pdf, outage_mgf,
-                       outage_rlpg, phi_closed_form, simulate_outage)
+                       outage_rlpg, simulate_outage)
+from finitenet.mgf import phi_closed_form
 from finitenet.quadrature import adaptive_quad
 from scipy import special as sp
 

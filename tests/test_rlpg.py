@@ -15,10 +15,10 @@ from finitenet import (InvalidParameterError, NakagamiChannel, NumericFailure,
                        nakagami_as_general_cdf, nakagami_reference_cdf,
                        omega_expectation_table, outage_disk_center,
                        outage_general_family, outage_mgf, outage_rlpg,
-                       outage_rlpg_for_counts, psi_closed_form,
-                       sample_uniform_in_region, simulate_outage)
+                       outage_rlpg_for_counts, sample_uniform_in_region,
+                       simulate_outage)
 from finitenet.quadrature import adaptive_quad
-from finitenet.rlpg import _clamp_unit
+from finitenet.rlpg import _clamp_unit, psi_closed_form
 
 
 def _scenario(region, receiver, m0, m, alpha=3.0, r0=5.0, M=10, beta=1.0,
@@ -95,7 +95,6 @@ def test_moment_table_cached_fields():
     assert len(table.values) == 3
     assert all(v > 0 for v in table.values)
     assert table.values[0] <= 1.0
-    assert "m0=3" in table.fingerprint
 
 
 # ----- closed-form moment pieces -----
@@ -160,7 +159,7 @@ def test_disk_center_shortcut_matches_general_path():
         direct = outage_disk_center(W, r0, M, m0, m, alpha, beta, rho0)
         sc = _scenario(disk_region((0, 0), W), (0, 0), m0=m0, m=m,
                        alpha=alpha, r0=r0, M=M, beta=beta, rho0=rho0)
-        assert abs(direct.outage - outage_rlpg(sc).outage) < 1e-9, (m0, m)
+        assert direct.outage == outage_rlpg(sc).outage, (m0, m)
 
 
 def test_outage_for_counts_matches_individual_calls():
@@ -302,14 +301,14 @@ def test_general_family_reproduces_rayleigh():
     sc = _scenario(make_fig2_region(80.0), (40.0, 30.0), m0=1, m=1.0,
                    alpha=2.5)
     got = outage_general_family(sc, nakagami_as_general_cdf(1))
-    assert abs(got.outage - outage_rlpg(sc).outage) < 1e-14
+    assert got.outage == outage_rlpg(sc).outage
 
 
 def test_general_family_reproduces_integer_shape():
     sc = _scenario(disk_region((0, 0), 60.0), (20.0, 0.0), m0=3, m=2.0,
                    alpha=3.5)
     got = outage_general_family(sc, nakagami_as_general_cdf(3))
-    assert abs(got.outage - outage_rlpg(sc).outage) < 1e-12
+    assert got.outage == outage_rlpg(sc).outage
 
 
 def test_general_family_toy_law_against_simulation():
