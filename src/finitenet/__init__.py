@@ -26,7 +26,7 @@ from .errors import (InvalidParameterError, ModelInconsistencyError,
 from .geometry import (DistanceProfile, Region, disk_region, distance_profile,
                        inside_arc_measure, make_fig2_region,
                        make_regular_polygon, pdf_disk_closed_form,
-                       polygon_region, reference_point, region_contains)
+                       polygon_region, region_contains)
 from .mgf import (EulerInversionParams, euler_invert_cdf, inner_expectation,
                   outage_mgf)
 from .montecarlo import (EmpiricalCdf, McEstimate, sample_uniform_in_region,
@@ -81,7 +81,6 @@ __all__ = [
     "outage_rlpg_for_counts",
     "pdf_disk_closed_form",
     "polygon_region",
-    "reference_point",
     "region_contains",
     "sample_uniform_in_region",
     "simulate_distance_distribution",

@@ -22,7 +22,7 @@ from .channel import NakagamiChannel
 from .errors import (InvalidParameterError, ModelInconsistencyError,
                      NumericFailure, ScenarioParseError, UnsupportedModelError)
 from .geometry import (disk_region, make_fig2_region, make_regular_polygon,
-                       polygon_region, reference_point)
+                       polygon_region)
 from .mgf import EulerInversionParams, outage_mgf
 from .montecarlo import simulate_outage
 from .rlpg import outage_rlpg, outage_rlpg_for_counts
@@ -338,9 +338,8 @@ def resolve_receiver(cfg, region):
 
 def build_scenario(cfg):
     region = build_region(cfg)
-    receiver = reference_point(region, resolve_receiver(cfg, region))
-    return Scenario(region=region, receiver=receiver, r0=cfg.r0,
-                    num_interferers=cfg.num_interferers,
+    return Scenario(region=region, receiver=resolve_receiver(cfg, region),
+                    r0=cfg.r0, num_interferers=cfg.num_interferers,
                     channel=NakagamiChannel(m0=cfg.m0, m=cfg.m),
                     alpha=cfg.alpha, beta=cfg.beta, rho0=cfg.rho0)
 
@@ -348,7 +347,7 @@ def build_scenario(cfg):
 def scenario_fingerprint(cfg, sc):
     """Short stable digest of the resolved scenario sc built from cfg
     (geometry and link parameters; evaluation settings excluded)."""
-    xy = sc.receiver.xy
+    xy = sc.receiver
     p = cfg.region_params
     if cfg.region_type == "disk":
         rp = [p["center"][0], p["center"][1], p["radius"]]
@@ -587,7 +586,7 @@ def cmd_run(args):
     method = resolve_method(cfg, args.method)
     sc = build_scenario(cfg)
     outage, std = evaluate_scenario(cfg, sc, method)
-    xy = sc.receiver.xy
+    xy = sc.receiver
     row = [scenario_fingerprint(cfg, sc), method, cfg.region_type,
            xy[0], xy[1], cfg.r0, cfg.num_interferers, cfg.m0, cfg.m, cfg.alpha,
            cfg.beta_db, cfg.snr_db, outage, std]

@@ -36,12 +36,6 @@ class Region:
 
 
 @dataclass(frozen=True, eq=False)
-class ReferencePoint:
-    """A receiver location, validated to lie in the closed region."""
-    xy: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
 class DistanceProfile:
     """Distance law from a reference point to a uniform node in the region.
 
@@ -123,11 +117,10 @@ def make_fig2_region(width):
     return polygon_region(verts)
 
 
-# ----- containment / reference points -----
+# ----- containment -----
 
 def _as_xy(y0):
-    xy = getattr(y0, "xy", y0)
-    return np.asarray(xy, dtype=float).reshape(2)
+    return np.asarray(y0, dtype=float).reshape(2)
 
 
 def region_contains(region, point, rtol=CONTAINMENT_RTOL):
@@ -141,17 +134,6 @@ def region_contains(region, point, rtol=CONTAINMENT_RTOL):
     elen = np.hypot(edges[:, 0], edges[:, 1])
     d = (edges[:, 0] * (xy[1] - v[:, 1]) - edges[:, 1] * (xy[0] - v[:, 0])) / elen
     return bool(np.all(d >= -tol))
-
-
-def reference_point(region, xy):
-    """Validate and wrap a receiver location."""
-    p = _as_xy(xy)
-    if not region_contains(region, p):
-        raise InvalidParameterError(
-            f"reference point {p.tolist()} lies outside the region")
-    p = p.copy()
-    p.setflags(write=False)
-    return ReferencePoint(xy=p)
 
 
 # ----- polygon side frames relative to y0 -----
@@ -223,8 +205,14 @@ def inside_arc_measure(region, y0, r):
         return out if np.ndim(r) else float(out[0])
 
     _, _, p, phi, vdist = _side_frames(region, y)
-    r_max = float(vdist.max())
-    rs = np.maximum(r_arr, 1e-300)
+    theta = _polygon_arc_measure(p, phi, float(vdist.max()), r_arr)
+    return theta if np.ndim(r) else float(theta[0])
+
+
+def _polygon_arc_measure(p, phi, r_max, r):
+    """theta at the radii of the 1-d array r, from the side frames (p, phi)
+    of a reference point whose farthest vertex lies at r_max."""
+    rs = np.maximum(r, 1e-300)
     ratio = np.clip(p[None, :] / rs[:, None], -1.0, 1.0)
     w = np.arccos(ratio)
     w[rs[:, None] <= p[None, :]] = 0.0
@@ -240,9 +228,9 @@ def inside_arc_measure(region, y0, r):
     prev = np.concatenate([np.zeros((rs.size, 1)), run[:, :-1]], axis=1)
     covered = np.clip(ends - np.maximum(starts, prev), 0.0, None).sum(axis=1)
     theta = np.clip(TWO_PI - covered, 0.0, TWO_PI)
-    theta[r_arr > r_max] = 0.0
-    theta[r_arr < 0.0] = 0.0
-    return theta if np.ndim(r) else float(theta[0])
+    theta[r > r_max] = 0.0
+    theta[r < 0.0] = 0.0
+    return theta
 
 
 # ----- exact circle clipping (CDF path) -----
@@ -428,62 +416,17 @@ def _dedup_sorted(values, tol):
     return out
 
 
-def _constant_piece_theta(p, phi, r_mid, p_zero_tol):
-    """theta value if the arc measure is constant near r_mid, else None.
+def _contact_radius(v, p, vdist, p_zero_tol):
+    """Distance from y0 (the origin of the side frames) to the nearest
+    boundary point off the sides through y0.
 
-    Constant means d theta/dr = 0 on the whole analytic piece: every exposed
-    endpoint of the merged union of outside arcs must belong to a side at
-    (numerically) zero distance, whose arc half-width is pi/2 independent
-    of r. Arcs of sides at positive distance grow with r ("moving")."""
-    starts, ends = _outside_arc_intervals(p, phi, r_mid)
-    if starts.size == 0:
-        return TWO_PI
-    measure = _union_measure(starts, ends)
-    if measure >= TWO_PI - 1e-12:
-        return 0.0
-    # rotate so an uncovered direction sits at angle 0; afterwards no arc
-    # crosses the 0/2pi seam and merged blocks have honest endpoints
-    order = np.argsort(starts, kind="stable")
-    s = starts[order]
-    e = ends[order]
-    run = np.maximum.accumulate(e)
-    gap = None
-    if s[0] > 1e-9:
-        gap = 0.5 * s[0]
-    else:
-        for idx in range(len(s) - 1):
-            if s[idx + 1] > run[idx] + 1e-9:
-                gap = 0.5 * (run[idx] + s[idx + 1])
-                break
-        if gap is None:
-            if run[-1] >= TWO_PI - 1e-9:
-                return None          # no usable gap; let quadrature handle it
-            gap = 0.5 * (run[-1] + TWO_PI)
-    active = p < r_mid
-    pa = p[active]
-    w = np.arccos(np.clip(pa / r_mid, -1.0, 1.0))
-    s2 = np.mod(phi[active] - w - gap, TWO_PI)
-    e2 = s2 + 2.0 * w
-    order = np.argsort(s2, kind="stable")
-    s2 = s2[order]
-    e2 = e2[order]
-    moving = pa[order] > p_zero_tol
-    tol = 1e-12
-    i = 0
-    n = s2.size
-    while i < n:
-        block_start = s2[i]
-        block_end = e2[i]
-        j = i + 1
-        while j < n and s2[j] <= block_end + tol:
-            block_end = max(block_end, e2[j])
-            j += 1
-        for k in range(i, j):
-            if moving[k] and (abs(s2[k] - block_start) <= tol
-                              or abs(e2[k] - block_end) <= tol):
-                return None          # a growing arc is exposed
-        i = j
-    return TWO_PI - measure
+    A side's nearest point is the foot of the perpendicular when that foot
+    lies on the side, and otherwise the side's nearer vertex."""
+    nxt = np.roll(v, -1, axis=0)
+    e = nxt - v
+    foot_inside = ((v * e).sum(axis=1) <= 0.0) & ((nxt * e).sum(axis=1) >= 0.0)
+    reach = np.where(foot_inside, p, np.minimum(vdist, np.roll(vdist, -1)))
+    return float(reach[p > p_zero_tol].min())
 
 
 def distance_profile(region, y0):
@@ -495,8 +438,10 @@ def distance_profile(region, y0):
     area = region.area
 
     if region.kind == "disk":
-        d = float(np.hypot(*(y - region.center)))
         W = region.radius
+        # a rim receiver accepted within the containment tolerance can
+        # round to an offset just past W
+        d = min(float(np.hypot(*(y - region.center))), W)
         if d <= _ZERO_DIST_RTOL * region.scale:
             d = 0.0
         r_max = W + d
@@ -533,12 +478,16 @@ def distance_profile(region, y0):
     breaks = _dedup_sorted(raw, BREAKPOINT_DEDUP_RTOL * max(r_max, scale))
     breaks.append(r_max)
 
+    def arc_measure(r):
+        theta = _polygon_arc_measure(
+            p, phi, r_max, np.atleast_1d(np.asarray(r, dtype=float)))
+        return theta if np.ndim(r) else float(theta[0])
+
     def pdf(r):
-        r_arr = np.asarray(r, dtype=float)
-        theta = inside_arc_measure(region, y, np.atleast_1d(r_arr))
-        out = np.atleast_1d(r_arr) * theta / area
-        out[np.atleast_1d(r_arr) < 0] = 0.0
-        return out if r_arr.ndim else float(out[0])
+        r_arr = np.atleast_1d(np.asarray(r, dtype=float))
+        out = r_arr * _polygon_arc_measure(p, phi, r_max, r_arr) / area
+        out[r_arr < 0] = 0.0
+        return out if np.ndim(r) else float(out[0])
 
     def cdf(r):
         r_arr = np.atleast_1d(np.asarray(r, dtype=float))
@@ -553,17 +502,20 @@ def distance_profile(region, y0):
                 _polygon_clip_area(v, r_arr[mid]) / area, 0.0, 1.0)
         return out if np.ndim(r) else float(out[0])
 
-    p_zero_tol = 1e-12 * scale
+    # Below the contact radius the circle meets only sides through y0, whose
+    # outside arcs keep a half-width of pi/2, so theta is constant there;
+    # beyond it theta decreases. The contact radius is itself a breakpoint.
+    contact = _contact_radius(v, p, vdist, 1e-12 * scale)
     pieces = []
     lo = 0.0
     for hi in breaks:
+        if hi > contact:
+            break
         if hi - lo > 1e-12 * max(r_max, scale):
-            theta = _constant_piece_theta(p, phi, 0.5 * (lo + hi), p_zero_tol)
-            if theta is not None and theta > 0.0:
-                pieces.append((lo, hi, theta))
+            arcs = _outside_arc_intervals(p, phi, 0.5 * (lo + hi))
+            pieces.append((lo, hi, TWO_PI - _union_measure(*arcs)))
         lo = hi
     return DistanceProfile(
         r_max=r_max, breakpoints=tuple(breaks), area=area,
-        pdf=pdf, cdf=cdf,
-        arc_measure=lambda r: inside_arc_measure(region, y, r),
+        pdf=pdf, cdf=cdf, arc_measure=arc_measure,
         constant_arc_pieces=tuple(pieces))

@@ -95,7 +95,7 @@ def simulate_outage(scenario, trials, seed, workers=None):
         raise InvalidParameterError(f"trials must be a positive integer, got {trials}")
     seed = _check_seed(seed)
     trials = int(trials)
-    y0 = np.asarray(_as_xy(scenario.receiver), dtype=float)
+    y0 = scenario.receiver
     m0 = scenario.channel.m0
     m = scenario.channel.m
     num = scenario.num_interferers
@@ -136,7 +136,7 @@ def simulate_distance_distribution(region, y0, samples, seed):
     if samples != int(samples) or samples < 1:
         raise InvalidParameterError(f"samples must be a positive integer, got {samples}")
     seed = _check_seed(seed)
-    ref = np.asarray(_as_xy(y0), dtype=float)
+    ref = _as_xy(y0)
     parts = []
     for idx, n in _chunk_spans(int(samples)):
         rng = _rng_for_chunk(seed, idx)

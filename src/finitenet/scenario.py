@@ -2,9 +2,11 @@
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .channel import NakagamiChannel
 from .errors import InvalidParameterError
-from .geometry import Region, distance_profile, region_contains, _as_xy
+from .geometry import Region, distance_profile, region_contains
 
 ALPHA_MIN = 2.0
 ALPHA_MAX = 6.0
@@ -15,7 +17,8 @@ class Scenario:
     """One outage computation: where the receiver sits and who interferes.
 
     region: the network area containing the interferers.
-    receiver: receiver coordinates (inside the closed region).
+    receiver: receiver coordinates inside the closed region; validated once
+        here and stored as a read-only float array of shape (2,).
     r0: reference-transmitter distance (the intended link length).
     num_interferers: number of uniformly placed interfering nodes.
     channel: Nakagami shapes for the reference and interferer links.
@@ -24,7 +27,7 @@ class Scenario:
     rho0: mean SNR of the reference link at distance r0, linear scale.
     """
     region: Region
-    receiver: object
+    receiver: np.ndarray
     r0: float
     num_interferers: int
     channel: NakagamiChannel
@@ -47,11 +50,15 @@ class Scenario:
             raise InvalidParameterError(
                 f"number of interferers must be an integer >= 0, "
                 f"got {self.num_interferers}")
-        if not region_contains(self.region, self.receiver):
-            raise InvalidParameterError("receiver lies outside the region")
+        xy = np.array(self.receiver, dtype=float).reshape(2)
+        if not region_contains(self.region, xy):
+            raise InvalidParameterError(
+                f"receiver {xy.tolist()} lies outside the region")
+        xy.setflags(write=False)
+        object.__setattr__(self, "receiver", xy)
 
     def profile(self):
-        return distance_profile(self.region, _as_xy(self.receiver))
+        return distance_profile(self.region, self.receiver)
 
 
 @dataclass(frozen=True)

@@ -153,6 +153,40 @@ def test_receiver_mode_region_mismatches():
         resolve_receiver(cfg, build_region(cfg))
 
 
+def test_outside_coords_receiver_is_exit_two(tmp_path, capsys):
+    path = _write(tmp_path, _base_raw(
+        receiver={"mode": "coords", "coords": [150.0, 5.0]}))
+    assert main(["run", "--scenario", path,
+                 "--out", str(tmp_path / "o.csv")]) == 2
+    assert "receiver [150.0, 5.0] lies outside" in capsys.readouterr().err
+
+
+def test_rim_receiver_on_shifted_disk(tmp_path):
+    # with the centre at x = 28.61 the rim offset rounds to
+    # 100.00000000000001, just past the radius
+    rim = {"mode": "disk_offset_d", "d": 100.0}
+    centred = _write(tmp_path, _base_raw(receiver=rim), "centred.json")
+    shifted = _write(tmp_path, _base_raw(
+        region={"type": "disk",
+                "params": {"radius": 100.0, "center": [28.61, 0.0]}},
+        receiver=rim), "shifted.json")
+    out = str(tmp_path / "o.csv")
+
+    def outage(path, method):
+        assert main(["run", "--scenario", path, "--out", out,
+                     "--method", method]) == 0
+        rows = _read_csv(out)
+        return dict(zip(rows[0], rows[1]))["outage"]
+
+    series = outage(shifted, "rlpg")
+    assert series == outage(centred, "rlpg")
+    assert abs(float(outage(shifted, "mgf")) - float(series)) < 1e-6
+    assert main(["maxm", "--scenario", shifted, "--out", out,
+                 "--method", "rlpg", "--target", "0.05"]) == 0
+    rows = _read_csv(out)
+    assert dict(zip(rows[0], rows[1]))["max_interferers"] == "21"
+
+
 # ----- dispatch -----
 
 def test_auto_dispatch_follows_reference_shape():

@@ -10,10 +10,10 @@ import math
 import numpy as np
 import pytest
 
-from finitenet import (InvalidParameterError, disk_region, distance_profile,
-                       inside_arc_measure, make_fig2_region,
-                       make_regular_polygon, pdf_disk_closed_form,
-                       polygon_region, reference_point, region_contains)
+from finitenet import (InvalidParameterError, NakagamiChannel, Scenario,
+                       disk_region, distance_profile, inside_arc_measure,
+                       make_fig2_region, make_regular_polygon,
+                       pdf_disk_closed_form, polygon_region, region_contains)
 from finitenet.geometry import pdf_regular_polygon_center, segment_corner_pdf
 from finitenet.quadrature import adaptive_quad
 
@@ -84,10 +84,21 @@ def test_constructor_validation():
 
 def test_reference_point_validation():
     reg = disk_region((0, 0), 10.0)
-    reference_point(reg, (3.0, 4.0))
-    reference_point(reg, (10.0, 0.0))  # boundary is allowed
+
+    def scenario(xy):
+        return Scenario(region=reg, receiver=xy, r0=1.0, num_interferers=1,
+                        channel=NakagamiChannel(m0=1, m=1), alpha=4.0,
+                        beta=1.0, rho0=10.0)
+
+    distance_profile(reg, (3.0, 4.0))
+    distance_profile(reg, (10.0, 0.0))  # boundary is allowed
     with pytest.raises(InvalidParameterError):
-        reference_point(reg, (10.1, 0.0))
+        distance_profile(reg, (10.1, 0.0))
+    sc = scenario([10, 0])
+    assert sc.receiver.dtype == np.float64 and sc.receiver.shape == (2,)
+    assert not sc.receiver.flags.writeable
+    with pytest.raises(InvalidParameterError, match=r"\[10\.1, 0\.0\]"):
+        scenario((10.1, 0.0))
     sq = make_regular_polygon(4, 1.0)
     assert region_contains(sq, (0.0, 0.0))
     assert not region_contains(sq, (1.0, 1.0))
@@ -160,6 +171,19 @@ def test_disk_rim_receiver_pdf_matches_arc_measure():
     for r in (1e-3, 0.1, 1.0, 10.0):
         theta = inside_arc_measure(reg, (W, 0.0), np.array([r]))[0]
         assert abs(prof.pdf(r) - r * theta / reg.area) < 1e-10
+
+
+def test_disk_rim_receiver_rounding_past_radius():
+    # |100 (cos a, sin a)| rounds to 100.00000000000001: accepted by the
+    # containment tolerance, so the profile must not hand the closed-form
+    # pdf an offset beyond the radius
+    reg = disk_region((0, 0), 100.0)
+    a = 1.9123435272035434
+    rim = distance_profile(reg, (100.0 * math.cos(a), 100.0 * math.sin(a)))
+    ref = distance_profile(reg, (100.0, 0.0))
+    r = np.linspace(0.0, 200.0, 41)
+    assert rim.pdf(r).tolist() == ref.pdf(r).tolist()
+    assert rim.breakpoints == ref.breakpoints == (200.0,)
 
 
 def test_disk_offset_pdf_matches_cdf_derivative():

@@ -1,0 +1,94 @@
+"""Property tests of the polygon distance law over random strictly convex
+polygons, with receivers in the interior, on an edge and at a vertex."""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from finitenet import distance_profile, polygon_region
+from finitenet.geometry import segment_corner_pdf
+from finitenet.quadrature import adaptive_quad
+
+TWO_PI = 2.0 * math.pi
+
+
+@st.composite
+def polygons(draw):
+    """Vertices at distinct angles on a rotated, shifted ellipse."""
+    n = draw(st.integers(3, 8))
+    gaps = np.array(draw(st.lists(st.floats(0.2, 1.0), min_size=n,
+                                  max_size=n)))
+    ang = draw(st.floats(0.0, TWO_PI)) \
+        + TWO_PI * (np.cumsum(gaps) - gaps[0]) / gaps.sum()
+    squash = draw(st.floats(0.3, 1.0))
+    rot = draw(st.floats(0.0, math.pi))
+    scale = draw(st.floats(0.1, 1000.0))
+    shift = np.array(draw(st.tuples(st.floats(-2.0, 2.0),
+                                    st.floats(-2.0, 2.0)))) * scale
+    x, y = np.cos(ang), squash * np.sin(ang)
+    c, s = math.cos(rot), math.sin(rot)
+    return polygon_region(
+        scale * np.column_stack([c * x - s * y, s * x + c * y]) + shift)
+
+
+@st.composite
+def polygon_and_receiver(draw, kind):
+    reg = draw(polygons())
+    v = reg.vertices
+    n = v.shape[0]
+    i = draw(st.integers(0, n - 1))
+    if kind == "vertex":
+        return reg, v[i]
+    if kind == "edge":
+        t = draw(st.floats(0.05, 0.95))
+        return reg, v[i] + t * (v[(i + 1) % n] - v[i])
+    w = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n)))
+    return reg, (w / w.sum()) @ v
+
+
+def _check_profile(reg, y0):
+    prof = distance_profile(reg, y0)
+    edges = np.concatenate([[0.0], prof.breakpoints])
+
+    total, _ = adaptive_quad(prof.pdf, 0.0, prof.r_max,
+                             breakpoints=prof.breakpoints,
+                             rel_tol=1e-10, abs_tol=1e-12)
+    assert abs(total - 1.0) <= 1e-8
+
+    # a uniform grid: right at a breakpoint the arccos terms amplify the
+    # last-bit differences between the two decompositions
+    r = np.linspace(0.0, prof.r_max, 257)[1:]
+    gap = np.abs(prof.pdf(r) - segment_corner_pdf(reg, y0, r))
+    assert np.max(gap) * reg.scale <= 1e-12
+
+    for lo, hi, theta in prof.constant_arc_pieces:
+        got = prof.arc_measure(np.linspace(lo, hi, 9)[1:-1])
+        assert np.max(np.abs(got - theta)) <= 1e-12
+
+    last = prof.constant_arc_pieces[-1][1]
+    after = [(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])
+             if lo >= last and hi - lo > 1e-6 * reg.scale]
+    if after:
+        lo, hi = after[0]
+        theta = prof.arc_measure(lo + (hi - lo) * np.linspace(0.1, 0.9, 5))
+        assert np.all(np.diff(theta) < 0.0)
+
+
+@settings(max_examples=150)
+@given(polygon_and_receiver("interior"))
+def test_interior_receiver_profile(case):
+    _check_profile(*case)
+
+
+@settings(max_examples=150)
+@given(polygon_and_receiver("edge"))
+def test_edge_receiver_profile(case):
+    _check_profile(*case)
+
+
+@settings(max_examples=150)
+@given(polygon_and_receiver("vertex"))
+def test_vertex_receiver_profile(case):
+    _check_profile(*case)

@@ -162,6 +162,24 @@ def test_disk_center_shortcut_matches_general_path():
         assert direct.outage == outage_rlpg(sc).outage, (m0, m)
 
 
+def test_receiver_validated_once_per_outage(monkeypatch):
+    import finitenet.geometry as geometry
+    reg = make_fig2_region(100.0)
+    sc = _scenario(reg, reg.vertices[1], m0=1, m=1.0, alpha=4.0)
+    calls = []
+    contains = geometry.region_contains
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return contains(*args, **kwargs)
+
+    monkeypatch.setattr(geometry, "region_contains", counted)
+    for engine in (outage_rlpg, outage_mgf):
+        calls.clear()
+        engine(sc)
+        assert len(calls) == 1, engine.__name__
+
+
 def test_outage_for_counts_matches_individual_calls():
     sc = _scenario(disk_region((0, 0), 100.0), (25.0, 0.0), m0=2, m=2.0)
     counts = [0, 1, 5, 14]
