@@ -28,7 +28,7 @@ from .geometry import (DistanceProfile, Region, disk_region, distance_profile,
                        make_regular_polygon, pdf_disk_closed_form,
                        polygon_region, region_contains)
 from .mgf import (EulerInversionParams, euler_invert_cdf, inner_expectation,
-                  outage_mgf)
+                  outage_mgf, radial_kernel)
 from .montecarlo import (EmpiricalCdf, McEstimate, sample_uniform_in_region,
                          simulate_distance_distribution, simulate_outage)
 from .rlpg import (OmegaExpectationTable, expectation_omega,
@@ -81,6 +81,7 @@ __all__ = [
     "outage_rlpg_for_counts",
     "pdf_disk_closed_form",
     "polygon_region",
+    "radial_kernel",
     "region_contains",
     "sample_uniform_in_region",
     "simulate_distance_distribution",

@@ -23,7 +23,7 @@ from .errors import (InvalidParameterError, ModelInconsistencyError,
                      NumericFailure, ScenarioParseError, UnsupportedModelError)
 from .geometry import (disk_region, make_fig2_region, make_regular_polygon,
                        polygon_region)
-from .mgf import EulerInversionParams, outage_mgf
+from .mgf import EulerInversionParams, outage_mgf, radial_kernel
 from .montecarlo import simulate_outage
 from .rlpg import outage_rlpg, outage_rlpg_for_counts
 from .scenario import Scenario
@@ -384,14 +384,19 @@ def resolve_method(cfg, override=None):
     return "mgf"
 
 
-def evaluate_scenario(cfg, sc, method):
+def _mgf_rel_tol(cfg):
+    return 1e-10 if cfg.quadrature_rel_tol is None else cfg.quadrature_rel_tol
+
+
+def evaluate_scenario(cfg, sc, method, kernel=None):
     """Evaluate the scenario sc built from cfg with one engine. Returns
-    (outage, std_error); std_error is None for the non-statistical engines."""
+    (outage, std_error); std_error is None for the non-statistical engines.
+    kernel (mgf.radial_kernel) is shared by the mgf points of one scan."""
     if method == "rlpg":
         return outage_rlpg(sc).outage, None
     if method == "mgf":
-        rel = 1e-10 if cfg.quadrature_rel_tol is None else cfg.quadrature_rel_tol
-        return outage_mgf(sc, params=cfg.inversion, rel_tol=rel).outage, None
+        return outage_mgf(sc, params=cfg.inversion, rel_tol=_mgf_rel_tol(cfg),
+                          kernel=kernel).outage, None
     if method == "mc":
         est = simulate_outage(sc, cfg.mc_trials, cfg.mc_seed)
         return est.outage_mean, est.std_error
@@ -475,14 +480,15 @@ def parse_grid(text, variable):
 
 def sweep_rows(cfg, variable, values, methods):
     """Evaluate every grid point with every engine; rows come back in grid
-    order regardless of scheduling."""
+    order regardless of scheduling. The mgf points of a sweep over M or
+    snr_db, which leave the radial kernel unchanged, share one."""
     def eval_point(value):
         point = apply_sweep_value(cfg, variable, value)
         sc = build_scenario(point)
         row = [scenario_fingerprint(point, sc), value]
         std = None
         for meth in methods:
-            outage, err = evaluate_scenario(point, sc, meth)
+            outage, err = evaluate_scenario(point, sc, meth, kernel)
             row.append(outage)
             if meth == "mc":
                 std = err
@@ -492,6 +498,10 @@ def sweep_rows(cfg, variable, values, methods):
 
     if not values:
         return []
+    kernel = None
+    if "mgf" in methods and variable in ("M", "snr_db"):
+        first = apply_sweep_value(cfg, variable, values[0])
+        kernel = radial_kernel(build_scenario(first), _mgf_rel_tol(first))
     with ThreadPoolExecutor(max_workers=min(_SWEEP_WORKERS, len(values))) as pool:
         return list(pool.map(eval_point, values))
 
@@ -535,12 +545,14 @@ def max_supported_interferers(cfg, sc, target, method):
     if method != "mgf":
         raise ScenarioParseError(
             "the interferer-count search needs an analytic method (rlpg or mgf)")
-    prev, _ = evaluate_scenario(cfg, replace(sc, num_interferers=0), "mgf")
+    kernel = radial_kernel(sc, _mgf_rel_tol(cfg))
+    prev, _ = evaluate_scenario(cfg, replace(sc, num_interferers=0), "mgf",
+                                kernel)
     if prev > target:
         return 0, prev, False
     for count in range(1, _MAXM_CAP + 1):
         eps, _ = evaluate_scenario(cfg, replace(sc, num_interferers=count),
-                                   "mgf")
+                                   "mgf", kernel)
         if eps > target:
             m_star, eps_star = _nearest_crossing(count - 1, prev, eps, target)
             return m_star, eps_star, True

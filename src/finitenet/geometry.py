@@ -191,22 +191,34 @@ def inside_arc_measure(region, y0, r):
         raise InvalidParameterError("reference point lies outside the region")
     r_arr = np.atleast_1d(np.asarray(r, dtype=float))
     if region.kind == "disk":
-        d = float(np.hypot(*(y - region.center)))
-        W = region.radius
-        out = np.full(r_arr.shape, TWO_PI)
-        if d <= _ZERO_DIST_RTOL * region.scale:
-            out[r_arr > W] = 0.0
-        else:
-            out[r_arr >= W + d] = 0.0
-            mid = (r_arr > W - d) & (r_arr < W + d)
-            rm = r_arr[mid]
-            arg = (rm * rm + d * d - W * W) / (2.0 * d * rm)
-            out[mid] = 2.0 * np.arccos(np.clip(arg, -1.0, 1.0))
-        return out if np.ndim(r) else float(out[0])
-
-    _, _, p, phi, vdist = _side_frames(region, y)
-    theta = _polygon_arc_measure(p, phi, float(vdist.max()), r_arr)
+        theta = _disk_arc_measure(region.radius, _disk_offset(region, y), r_arr)
+    else:
+        _, _, p, phi, vdist = _side_frames(region, y)
+        theta = _polygon_arc_measure(p, phi, float(vdist.max()), r_arr)
     return theta if np.ndim(r) else float(theta[0])
+
+
+def _disk_offset(region, y):
+    """Receiver offset from the disk centre, in [0, W]: a rim receiver
+    accepted within the containment tolerance can round to an offset just
+    past W, and one within the zero-distance tolerance is the centre."""
+    d = min(float(np.hypot(*(y - region.center))), region.radius)
+    return 0.0 if d <= _ZERO_DIST_RTOL * region.scale else d
+
+
+def _disk_arc_measure(W, d, r):
+    """theta at the radii of the 1-d array r for a receiver at offset d in
+    [0, W] from the centre of a disk of radius W."""
+    out = np.full(r.shape, TWO_PI)
+    if d == 0.0:
+        out[r > W] = 0.0
+    else:
+        out[r >= W + d] = 0.0
+        mid = (r > W - d) & (r < W + d)
+        rm = r[mid]
+        arg = (rm * rm + d * d - W * W) / (2.0 * d * rm)
+        out[mid] = 2.0 * np.arccos(np.clip(arg, -1.0, 1.0))
+    return out
 
 
 def _polygon_arc_measure(p, phi, r_max, r):
@@ -439,11 +451,7 @@ def distance_profile(region, y0):
 
     if region.kind == "disk":
         W = region.radius
-        # a rim receiver accepted within the containment tolerance can
-        # round to an offset just past W
-        d = min(float(np.hypot(*(y - region.center))), W)
-        if d <= _ZERO_DIST_RTOL * region.scale:
-            d = 0.0
+        d = _disk_offset(region, y)
         r_max = W + d
         breaks = [W + d] if d == 0.0 else \
             ([W + d] if W - d <= BREAKPOINT_DEDUP_RTOL * region.scale
@@ -453,6 +461,11 @@ def distance_profile(region, y0):
             r_arr = np.asarray(r, dtype=float)
             out = pdf_disk_closed_form(_W, _d, np.atleast_1d(r_arr))
             return out if r_arr.ndim else float(out[0])
+
+        def arc_measure(r, _W=W, _d=d):
+            theta = _disk_arc_measure(
+                _W, _d, np.atleast_1d(np.asarray(r, dtype=float)))
+            return theta if np.ndim(r) else float(theta[0])
 
         def cdf(r, _W=W, _d=d, _area=area):
             r_arr = np.atleast_1d(np.asarray(r, dtype=float))
@@ -465,7 +478,7 @@ def distance_profile(region, y0):
         return DistanceProfile(
             r_max=r_max, breakpoints=tuple(breaks), area=area,
             pdf=pdf, cdf=cdf,
-            arc_measure=lambda r: inside_arc_measure(region, y, r),
+            arc_measure=arc_measure,
             constant_arc_pieces=pieces)
 
     v, nrm, p, phi, vdist = _side_frames(region, y)

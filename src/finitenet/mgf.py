@@ -8,6 +8,7 @@ node.
 """
 
 import math
+from concurrent.futures import Future
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -226,7 +227,73 @@ def phi_closed_form(theta, upsilon, m, alpha, r0, s, g0, area):
     return theta / (area * (2.0 + am)) * np.exp(logw) * f21
 
 
-def outage_mgf(scenario, params=None, rel_tol=1e-10):
+def _inner_rel_tol(rel_tol):
+    # Inner errors are amplified by ~e^{A/2} in the Euler sum, so keep the
+    # inner tolerance two orders below the outer one.
+    return min(1e-12, rel_tol * 1e-2)
+
+
+def _kernel_key(scenario, inner_rel):
+    reg = scenario.region
+    geometry = (reg.kind, reg.radius,
+                None if reg.center is None else reg.center.tobytes(),
+                None if reg.vertices is None else reg.vertices.tobytes())
+    return (geometry, scenario.receiver.tobytes(), scenario.channel.m,
+            scenario.alpha, inner_rel)
+
+
+class _RadialKernel:
+    """The radial kernel rows of one distance profile, interferer shape m,
+    path-loss exponent and inner tolerance, each q batch computed once.
+
+    The rows depend on nothing else: the interferer count M and the SNR
+    rho0 leave them unchanged, and r0 and s enter through q. So every
+    outage_mgf call that differs only in M, rho0, r0, beta or the inversion
+    parameters can share one kernel, and a batch it has seen comes back
+    bit-identical without another radial integral. Threads share it too:
+    the first to ask for a batch computes it and the others wait for that
+    result (or its exception).
+
+    Batches are memoised whole, by their bytes: the adaptive quadrature
+    refines all rows of a batch together, so a row's value depends on the
+    batch it came in.
+    """
+
+    def __init__(self, scenario, inner_rel):
+        self.key = _kernel_key(scenario, inner_rel)
+        self._profile = scenario.profile()
+        self._m = scenario.channel.m
+        self._alpha = scenario.alpha
+        self._inner_rel = inner_rel
+        self._memo = {}
+
+    def rows(self, q):
+        q = np.ascontiguousarray(q, dtype=complex)
+        mine = Future()
+        shared = self._memo.setdefault((q.shape, q.tobytes()), mine)
+        if shared is mine:
+            try:
+                vals = _radial_mixture_rows(self._profile, self._m,
+                                            self._alpha, q, self._inner_rel)
+                vals.setflags(write=False)
+                mine.set_result(vals)
+            except BaseException as exc:
+                mine.set_exception(exc)
+        return shared.result()
+
+
+def radial_kernel(scenario, rel_tol=1e-10):
+    """A radial kernel for outage_mgf(..., rel_tol=rel_tol, kernel=...) on
+    this scenario and on any copy of it with another num_interferers, rho0,
+    r0 or beta. Reusing it changes no number; it only skips the radial
+    integrals an earlier call already did, which a scan over
+    num_interferers or rho0 repeats most of. It holds every batch it has
+    computed, so keep it for one scan, not for the whole program.
+    """
+    return _RadialKernel(scenario, _inner_rel_tol(rel_tol))
+
+
+def outage_mgf(scenario, params=None, rel_tol=1e-10, *, kernel=None):
     """Outage probability by inverting the Laplace transform of the
     noise-plus-interference functional at 1/beta.
 
@@ -241,21 +308,27 @@ def outage_mgf(scenario, params=None, rel_tol=1e-10):
     EulerInversionParams). A sum that does not settle is retried on more
     nodes, each one more outer integral, and then raises NumericFailure, as
     in euler_invert_cdf.
+
+    ``kernel`` (from radial_kernel) lets a scan over M or rho0 share the
+    radial integrals; by default each call builds its own. A kernel built
+    for another region, receiver, m, alpha or inner tolerance raises
+    InvalidParameterError.
     """
     if params is None:
         params = EulerInversionParams()
-    prof = scenario.profile()
+    if kernel is None:
+        kernel = radial_kernel(scenario, rel_tol)
+    elif kernel.key != _kernel_key(scenario, _inner_rel_tol(rel_tol)):
+        raise InvalidParameterError(
+            "radial kernel was built for another region, receiver, m, alpha "
+            "or rel_tol")
     m0 = scenario.channel.m0
-    m = scenario.channel.m
     alpha = scenario.alpha
     r0 = scenario.r0
     num_interferers = scenario.num_interferers
     rho0 = scenario.rho0
     z = 1.0 / scenario.beta
 
-    # Inner errors are amplified by ~e^{A/2} in the Euler sum, so keep the
-    # inner tolerance two orders below the outer one.
-    inner_rel = min(1e-12, rel_tol * 1e-2)
     u_breaks = tuple(g / (1.0 + g) for g in _G0_KNOTS)
     lgamma_m0 = ln_gamma(m0)
     log_m0 = math.log(m0)
@@ -271,7 +344,7 @@ def outage_mgf(scenario, params=None, rel_tol=1e-10):
                 vals = np.exp(logw - s / (rho0 * g0))
                 if num_interferers:
                     q = (r0 ** alpha) * s / g0
-                    inner = _radial_mixture_rows(prof, m, alpha, q, inner_rel)
+                    inner = kernel.rows(q)
                     vals = vals * inner ** num_interferers
                 return vals[None, :]
 

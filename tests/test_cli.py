@@ -2,13 +2,16 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import finitenet.cli as cli
+import finitenet.mgf as mgf
 from finitenet import (EulerInversionParams, NumericFailure,
-                       ScenarioParseError, make_fig2_region, outage_rlpg)
+                       ScenarioParseError, make_fig2_region, outage_mgf,
+                       outage_rlpg)
 from finitenet.cli import (MAXM_HEADER, RUN_HEADER, apply_sweep_value,
                            build_region, build_scenario, evaluate_scenario,
                            load_scenario_config, main,
@@ -236,7 +239,6 @@ def test_ppp_density_default_and_override():
 
 
 def test_fingerprint_ignores_evaluation_knobs():
-    from dataclasses import replace
     def fingerprint(cfg):
         return scenario_fingerprint(cfg, build_scenario(cfg))
 
@@ -469,3 +471,98 @@ def test_maxm_nearest_crossing_prefers_closer_count():
     below = eps[m_star] if eps[m_star] <= 0.05 else eps[m_star - 1]
     above = eps[m_star + 1] if eps[m_star] <= 0.05 else eps[m_star]
     assert min(abs(below - 0.05), abs(above - 0.05)) == abs(eps_star - 0.05)
+
+
+# ----- one radial kernel per mgf scan -----
+
+def _mgf_rim_raw():
+    # a reduced transform-engine scenario, about a second per outage_mgf
+    # call; its outage is 0.0145 at M = 2 and 0.0210 at M = 3
+    return _base_raw(receiver={"mode": "disk_offset_d", "d": 100.0},
+                     r0=10.0, M=2, m0=1.5, m=2.5, quadrature_rel_tol=1e-8,
+                     inversion={"zeta": 6})
+
+
+def _radial_batches(monkeypatch):
+    """Record the q batch of every radial kernel integral computed."""
+    batches = []
+    rows = mgf._radial_mixture_rows
+
+    def counted(profile, m, alpha, q, rel_tol):
+        batches.append(q.tobytes())
+        return rows(profile, m, alpha, q, rel_tol)
+
+    monkeypatch.setattr(mgf, "_radial_mixture_rows", counted)
+    return batches
+
+
+def test_mgf_maxm_shares_one_radial_kernel(tmp_path, monkeypatch):
+    raw = _mgf_rim_raw()
+    target = 0.016
+    batches = _radial_batches(monkeypatch)
+    seen = {}
+    engine = cli.outage_mgf
+
+    def recorded(sc, **kwargs):
+        res = engine(sc, **kwargs)
+        seen[sc.num_interferers] = res.outage
+        return res
+
+    monkeypatch.setattr(cli, "outage_mgf", recorded)
+    out = tmp_path / "maxm.csv"
+    assert main(["maxm", "--scenario", _write(tmp_path, raw), "--out",
+                 str(out), "--target", str(target), "--method", "mgf"]) == 0
+    shared = len(batches)
+
+    # the same scan with a fresh kernel for every count
+    cfg = parse_scenario_config(raw)
+    sc = build_scenario(cfg)
+    batches.clear()
+    eps = [outage_mgf(replace(sc, num_interferers=0), params=cfg.inversion,
+                      rel_tol=1e-8).outage]
+    while eps[-1] <= target:
+        eps.append(outage_mgf(replace(sc, num_interferers=len(eps)),
+                              params=cfg.inversion, rel_tol=1e-8).outage)
+    assert len(eps) == 4
+    assert seen == dict(enumerate(eps))
+    m_star, eps_star = cli._nearest_crossing(2, eps[2], eps[3], target)
+    assert m_star == 2
+    expected = tmp_path / "expected.csv"
+    cli.emit_csv([[scenario_fingerprint(cfg, sc), "mgf", target, m_star,
+                   eps_star, True]], str(expected), MAXM_HEADER)
+    assert out.read_bytes() == expected.read_bytes()
+    assert 2 * shared <= len(batches)
+
+
+def test_mgf_snr_sweep_computes_each_radial_batch_once(monkeypatch):
+    cfg = parse_scenario_config(_mgf_rim_raw())
+    batches = _radial_batches(monkeypatch)
+    snrs = [10.0, 20.0, 30.0]
+    rows = cli.sweep_rows(cfg, "snr_db", snrs, ["mgf"])
+    assert len(batches) == len(set(batches))
+    for row, snr in zip(rows, snrs):
+        point = apply_sweep_value(cfg, "snr_db", snr)
+        sc = build_scenario(point)
+        assert row == [scenario_fingerprint(point, sc), snr,
+                       outage_mgf(sc, params=cfg.inversion,
+                                  rel_tol=1e-8).outage]
+
+
+def test_failure_in_shared_radial_batch_is_exit_three(tmp_path, capsys,
+                                                      monkeypatch):
+    # every point of the sweep asks first for the same batch (the first
+    # Bromwich node on the initial panels); its one computation fails, and
+    # the failure reaches every point waiting on it
+    calls = []
+
+    def boom(profile, m, alpha, q, rel_tol):
+        calls.append(q)
+        raise NumericFailure("synthetic radial failure")
+
+    monkeypatch.setattr(mgf, "_radial_mixture_rows", boom)
+    rc = main(["sweep", "--scenario", _write(tmp_path, _mgf_rim_raw()),
+               "--out", str(tmp_path / "o.csv"), "--variable", "snr_db",
+               "--values", "10,20,30", "--method", "mgf"])
+    assert rc == 3
+    assert "synthetic radial failure" in capsys.readouterr().err
+    assert len(calls) == 1

@@ -186,6 +186,33 @@ def test_disk_rim_receiver_rounding_past_radius():
     assert rim.breakpoints == ref.breakpoints == (200.0,)
 
 
+def test_disk_rim_arc_measure_matches_pdf(monkeypatch):
+    # the rim receiver whose offset rounds past the radius: arc_measure
+    # must use the profile's clamped offset, as pdf does, and not
+    # re-validate the receiver
+    import finitenet.geometry as geometry
+    reg = disk_region((0, 0), 100.0)
+    a = 1.9123435272035434
+    rim = (100.0 * math.cos(a), 100.0 * math.sin(a))
+    prof = distance_profile(reg, rim)
+    calls = []
+    contains = geometry.region_contains
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return contains(*args, **kwargs)
+
+    monkeypatch.setattr(geometry, "region_contains", counted)
+    r = np.concatenate([np.linspace(0.0, 200.0, 401)[1:],
+                        [199.9999999999999]])
+    got = prof.arc_measure(r) * r / prof.area
+    want = prof.pdf(r)
+    assert np.all(np.abs(got - want) <= 4 * np.spacing(want))
+    assert calls == []
+    assert inside_arc_measure(reg, rim, r).tolist() \
+        == prof.arc_measure(r).tolist()
+
+
 def test_disk_offset_pdf_matches_cdf_derivative():
     W, d = 100.0, 30.0
     prof = distance_profile(disk_region((0, 0), W), (d, 0.0))

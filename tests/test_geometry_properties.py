@@ -63,6 +63,13 @@ def _check_profile(reg, y0):
     gap = np.abs(prof.pdf(r) - segment_corner_pdf(reg, y0, r))
     assert np.max(gap) * reg.scale <= 1e-12
 
+    # the clipping CDF is an independent code path from the pdf
+    for r in prof.r_max * np.array([0.3, 0.6, 0.9]):
+        below = [b for b in prof.breakpoints if b < r]
+        mass, _ = adaptive_quad(prof.pdf, 0.0, r, breakpoints=below,
+                                rel_tol=1e-12, abs_tol=1e-14)
+        assert abs(prof.cdf(r) - mass) <= 1e-10
+
     for lo, hi, theta in prof.constant_arc_pieces:
         got = prof.arc_measure(np.linspace(lo, hi, 9)[1:-1])
         assert np.max(np.abs(got - theta)) <= 1e-12

@@ -11,7 +11,7 @@ from finitenet import (EulerInversionParams, InvalidParameterError,
                        NakagamiChannel, NumericFailure, Scenario, disk_region,
                        distance_profile, euler_invert_cdf, inner_expectation,
                        make_fig2_region, nakagami_power_gain_pdf, outage_mgf,
-                       outage_rlpg, simulate_outage)
+                       outage_rlpg, radial_kernel, simulate_outage)
 from finitenet.mgf import phi_closed_form
 from finitenet.quadrature import adaptive_quad
 from scipy import special as sp
@@ -360,3 +360,57 @@ def test_outage_result_reports_accuracy_target():
     sc = _scenario(disk_region((0, 0), 50.0), (0, 0), m0=1.0, m=1.0, M=2)
     res = outage_mgf(sc)
     assert abs(res.abs_error - 1e-8) < 1e-20
+
+
+def test_outage_refuses_a_kernel_built_for_another_scenario():
+    disk = disk_region((0, 0), 100.0)
+    sc = _scenario(disk, (50.0, 0.0), m0=1.5, m=2.0, M=0)
+    kernel = radial_kernel(sc)
+    # another m0, r0, beta or rho0 on an equal region built again shares it
+    same = _scenario(disk_region((0, 0), 100.0), (50.0, 0.0), m0=3.0, m=2.0,
+                     M=0, r0=7.0, beta=2.0, rho0=10.0)
+    assert outage_mgf(same, kernel=kernel).outage == outage_mgf(same).outage
+    others = [
+        (_scenario(disk, (40.0, 0.0), m0=1.5, m=2.0, M=0), 1e-10),
+        (_scenario(disk_region((0, 0), 90.0), (50.0, 0.0), m0=1.5, m=2.0,
+                   M=0), 1e-10),
+        (_scenario(disk, (50.0, 0.0), m0=1.5, m=2.5, M=0), 1e-10),
+        (_scenario(disk, (50.0, 0.0), m0=1.5, m=2.0, alpha=4.0, M=0), 1e-10),
+        (sc, 1e-12),
+    ]
+    for other, rel_tol in others:
+        with pytest.raises(InvalidParameterError, match="radial kernel"):
+            outage_mgf(other, rel_tol=rel_tol, kernel=kernel)
+
+
+def test_radial_kernel_computes_each_batch_once_across_threads(monkeypatch):
+    import sys
+    import time
+    from concurrent.futures import ThreadPoolExecutor
+
+    import finitenet.mgf as mgf
+    calls = []
+
+    def slow_rows(profile, m, alpha, q, rel_tol):
+        calls.append(q.tobytes())
+        time.sleep(1e-3)
+        return 2.0 * q
+
+    monkeypatch.setattr(mgf, "_radial_mixture_rows", slow_rows)
+    kernel = radial_kernel(_scenario(disk_region((0, 0), 100.0), (50.0, 0.0),
+                                     m0=1.0, m=1.0))
+    batches = [np.arange(k, k + 15, dtype=complex) for k in range(20)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(kernel.rows, batches[i % 20].copy())
+                       for i in range(400)]
+            results = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(calls) == sorted(b.tobytes() for b in batches)
+    for i, res in enumerate(results):
+        assert res is results[i % 20]
+        assert np.array_equal(res, 2.0 * batches[i % 20])
+        assert not res.flags.writeable
