@@ -373,7 +373,7 @@ def scenario_fingerprint(cfg, sc):
 def resolve_method(cfg, override=None):
     """Pick the concrete engine; 'auto' sends integer reference shapes to the
     power-series framework and everything else to transform inversion."""
-    name = override or cfg.method
+    name = cfg.method if override is None else override
     if name not in METHODS:
         raise ScenarioParseError(
             f"method must be one of {', '.join(METHODS)}, got {name!r}")
@@ -610,7 +610,7 @@ def cmd_run(args):
 
 def cmd_sweep(args):
     cfg = _load_cfg(args)
-    requested = (args.method or "auto").split(",")
+    requested = ("auto" if args.method is None else args.method).split(",")
     methods = []
     for name in requested:
         meth = resolve_method(cfg, name.strip())

@@ -40,10 +40,16 @@ class DistanceProfile:
     """Distance law from a reference point to a uniform node in the region.
 
     breakpoints: sorted radii where the pdf changes analytic form, ending
-        with r_max. pdf/cdf/arc_measure are vectorized callables.
-    constant_arc_pieces: (lo, hi, theta) intervals on which the inside-arc
-        measure is constant, i.e. where f_R(r) = theta * r / area exactly;
-        closed-form expectation formulas apply on these pieces.
+        with r_max. pdf/cdf/arc_measure take a scalar or an array of radii;
+        the pdf is r * arc_measure(r) / area.
+    constant_arc_pieces: (lo, hi, theta) for the consecutive breakpoint
+        intervals [0, b1], [b1, b2], ... up to the contact radius, the
+        nearest boundary point off the sides through the reference point.
+        The inside-arc measure is the constant theta there, so
+        f_R(r) = theta * r / area exactly and closed-form expectation
+        formulas apply; beyond the last piece theta is arccos-shaped.
+        Empty when the contact radius is within rounding of 0, or is not a
+        breakpoint (a disk receiver within rounding of the rim).
     """
     r_max: float
     breakpoints: tuple
@@ -153,49 +159,13 @@ def _side_frames(region, y0):
     return v, np.stack([nx, ny], axis=1), p, phi, vdist
 
 
-def _outside_arc_intervals(p, phi, r):
-    """Outside arcs [start, end] at radius r (scalar), split at the 0/2pi seam.
-
-    Returns (starts, ends) arrays covering subsets of [0, 2pi)."""
-    active = p < r
-    if not np.any(active):
-        return np.empty(0), np.empty(0)
-    w = np.arccos(np.clip(p[active] / r, -1.0, 1.0))
-    s = np.mod(phi[active] - w, TWO_PI)
-    e = s + 2.0 * w
-    wrap = e > TWO_PI
-    starts = np.concatenate([s, np.zeros(wrap.sum())])
-    ends = np.concatenate([np.minimum(e, TWO_PI), e[wrap] - TWO_PI])
-    return starts, ends
-
-
-def _union_measure(starts, ends):
-    if starts.size == 0:
-        return 0.0
-    order = np.argsort(starts, kind="stable")
-    s = starts[order]
-    e = ends[order]
-    run = np.maximum.accumulate(e)
-    prev = np.concatenate([[0.0], run[:-1]])
-    return float(np.clip(e - np.maximum(s, prev), 0.0, None).sum())
-
-
 def inside_arc_measure(region, y0, r):
     """Angular measure theta(r) of directions that stay inside the region.
 
     Vectorized over r. theta(r) = 2*pi for r below the distance to the
     nearest boundary feature and 0 beyond the farthest vertex.
     """
-    y = _as_xy(y0)
-    if not region_contains(region, y):
-        raise InvalidParameterError("reference point lies outside the region")
-    r_arr = np.atleast_1d(np.asarray(r, dtype=float))
-    if region.kind == "disk":
-        theta = _disk_arc_measure(region.radius, _disk_offset(region, y), r_arr)
-    else:
-        _, _, p, phi, vdist = _side_frames(region, y)
-        theta = _polygon_arc_measure(p, phi, float(vdist.max()), r_arr)
-    return theta if np.ndim(r) else float(theta[0])
+    return distance_profile(region, y0).arc_measure(r)
 
 
 def _disk_offset(region, y):
@@ -218,6 +188,7 @@ def _disk_arc_measure(W, d, r):
         rm = r[mid]
         arg = (rm * rm + d * d - W * W) / (2.0 * d * rm)
         out[mid] = 2.0 * np.arccos(np.clip(arg, -1.0, 1.0))
+    out[r < 0.0] = 0.0
     return out
 
 
@@ -314,16 +285,8 @@ def pdf_disk_closed_form(W, d, r):
     if not (0 <= d <= W):
         raise InvalidParameterError(f"offset must lie in [0, W], got {d}")
     r = np.asarray(r, dtype=float)
-    area = math.pi * W * W
-    out = np.zeros(r.shape)
-    inner = (r >= 0) & (r <= W - d)
-    out[inner] = TWO_PI * r[inner] / area
-    if d > 0:
-        mid = (r > W - d) & (r < W + d)
-        rm = r[mid]
-        arg = (rm * rm + d * d - W * W) / (2 * d * rm)
-        out[mid] = 2.0 * rm * np.arccos(np.clip(arg, -1.0, 1.0)) / area
-    return out
+    return np.where(r < 0, 0.0,
+                    r * _disk_arc_measure(W, d, r) / (math.pi * W * W))
 
 
 def pdf_regular_polygon_center(num_sides, circumradius, r):
@@ -441,6 +404,28 @@ def _contact_radius(v, p, vdist, p_zero_tol):
     return float(reach[p > p_zero_tol].min())
 
 
+def _scalar_or_array(f):
+    """Lift f, which maps a 1-d float array of radii to an array, to take a
+    scalar or an array of radii and return a float for a scalar."""
+    def call(r):
+        out = f(np.atleast_1d(np.asarray(r, dtype=float)))
+        return out if np.ndim(r) else float(out[0])
+    return call
+
+
+def _constant_prefix(breaks, contact, tol, arc_measure):
+    """The breakpoint intervals [0, b1], [b1, b2], ... that end at or below
+    the contact radius, each with its angle taken at its midpoint; none when
+    the contact radius is within tol of 0."""
+    if contact <= tol:
+        return ()
+    his = [b for b in breaks if b <= contact]
+    los = [0.0] + his[:-1]
+    thetas = arc_measure(0.5 * (np.array(los) + np.array(his)))
+    return tuple((lo, hi, float(theta))
+                 for lo, hi, theta in zip(los, his, thetas))
+
+
 def distance_profile(region, y0):
     """Build the distance law (pdf, cdf, breakpoints) for a reference point."""
     y = _as_xy(y0)
@@ -453,82 +438,64 @@ def distance_profile(region, y0):
         W = region.radius
         d = _disk_offset(region, y)
         r_max = W + d
-        breaks = [W + d] if d == 0.0 else \
-            ([W + d] if W - d <= BREAKPOINT_DEDUP_RTOL * region.scale
-             else [W - d, W + d])
+        tol = BREAKPOINT_DEDUP_RTOL * region.scale
+        breaks = [W + d] if d == 0.0 or W - d <= tol else [W - d, W + d]
 
-        def pdf(r, _W=W, _d=d):
-            r_arr = np.asarray(r, dtype=float)
-            out = pdf_disk_closed_form(_W, _d, np.atleast_1d(r_arr))
-            return out if r_arr.ndim else float(out[0])
+        def arc_measure(r):
+            return _disk_arc_measure(W, d, r)
 
-        def arc_measure(r, _W=W, _d=d):
-            theta = _disk_arc_measure(
-                _W, _d, np.atleast_1d(np.asarray(r, dtype=float)))
-            return theta if np.ndim(r) else float(theta[0])
+        def pdf(r):
+            return pdf_disk_closed_form(W, d, r)
 
-        def cdf(r, _W=W, _d=d, _area=area):
-            r_arr = np.atleast_1d(np.asarray(r, dtype=float))
-            out = np.clip(_disk_overlap_area(_W, _d, np.maximum(r_arr, 0.0))
-                          / _area, 0.0, 1.0)
-            out[r_arr <= 0] = 0.0
-            return out if np.ndim(r) else float(out[0])
+        def cdf(r):
+            out = np.clip(_disk_overlap_area(W, d, np.maximum(r, 0.0)) / area,
+                          0.0, 1.0)
+            out[r <= 0] = 0.0
+            return out
 
-        pieces = ((0.0, W - d, TWO_PI),) if W - d > 0 else ()
-        return DistanceProfile(
-            r_max=r_max, breakpoints=tuple(breaks), area=area,
-            pdf=pdf, cdf=cdf,
-            arc_measure=arc_measure,
-            constant_arc_pieces=pieces)
+        # the circle stays inside the disk up to the rim's nearest point
+        contact = W - d
+    else:
+        v, nrm, p, phi, vdist = _side_frames(region, y)
+        r_max = float(vdist.max())
+        scale = region.scale
+        raw = [float(x) for x in p if x > 1e-12 * scale]
+        raw += [float(x) for x in vdist if x > 1e-12 * scale]
+        raw += _line_pair_distances(v, nrm, p, r_max, scale)
+        raw = [x for x in raw if x < r_max * (1 - 1e-12)]
+        tol = BREAKPOINT_DEDUP_RTOL * max(r_max, scale)
+        breaks = _dedup_sorted(raw, tol)
+        breaks.append(r_max)
 
-    v, nrm, p, phi, vdist = _side_frames(region, y)
-    r_max = float(vdist.max())
-    scale = region.scale
-    raw = [float(x) for x in p if x > 1e-12 * scale]
-    raw += [float(x) for x in vdist if x > 1e-12 * scale]
-    raw += _line_pair_distances(v, nrm, p, r_max, scale)
-    raw = [x for x in raw if x < r_max * (1 - 1e-12)]
-    breaks = _dedup_sorted(raw, BREAKPOINT_DEDUP_RTOL * max(r_max, scale))
-    breaks.append(r_max)
+        def arc_measure(r):
+            return _polygon_arc_measure(p, phi, r_max, r)
 
-    def arc_measure(r):
-        theta = _polygon_arc_measure(
-            p, phi, r_max, np.atleast_1d(np.asarray(r, dtype=float)))
-        return theta if np.ndim(r) else float(theta[0])
+        def pdf(r):
+            out = r * arc_measure(r) / area
+            out[r < 0] = 0.0
+            return out
 
-    def pdf(r):
-        r_arr = np.atleast_1d(np.asarray(r, dtype=float))
-        out = r_arr * _polygon_arc_measure(p, phi, r_max, r_arr) / area
-        out[r_arr < 0] = 0.0
-        return out if np.ndim(r) else float(out[0])
+        def cdf(r):
+            out = np.empty(r.shape)
+            big = r >= r_max
+            small = r <= 0
+            mid = ~(big | small)
+            out[big] = 1.0
+            out[small] = 0.0
+            if np.any(mid):
+                out[mid] = np.clip(_polygon_clip_area(v, r[mid]) / area,
+                                   0.0, 1.0)
+            return out
 
-    def cdf(r):
-        r_arr = np.atleast_1d(np.asarray(r, dtype=float))
-        out = np.empty(r_arr.shape)
-        big = r_arr >= r_max
-        small = r_arr <= 0
-        mid = ~(big | small)
-        out[big] = 1.0
-        out[small] = 0.0
-        if np.any(mid):
-            out[mid] = np.clip(
-                _polygon_clip_area(v, r_arr[mid]) / area, 0.0, 1.0)
-        return out if np.ndim(r) else float(out[0])
+        # Below the contact radius the circle meets only sides through y0,
+        # whose outside arcs keep a half-width of pi/2, so theta is constant
+        # there; beyond it theta decreases. The contact radius is itself a
+        # breakpoint.
+        contact = _contact_radius(v, p, vdist, 1e-12 * scale)
 
-    # Below the contact radius the circle meets only sides through y0, whose
-    # outside arcs keep a half-width of pi/2, so theta is constant there;
-    # beyond it theta decreases. The contact radius is itself a breakpoint.
-    contact = _contact_radius(v, p, vdist, 1e-12 * scale)
-    pieces = []
-    lo = 0.0
-    for hi in breaks:
-        if hi > contact:
-            break
-        if hi - lo > 1e-12 * max(r_max, scale):
-            arcs = _outside_arc_intervals(p, phi, 0.5 * (lo + hi))
-            pieces.append((lo, hi, TWO_PI - _union_measure(*arcs)))
-        lo = hi
     return DistanceProfile(
         r_max=r_max, breakpoints=tuple(breaks), area=area,
-        pdf=pdf, cdf=cdf, arc_measure=arc_measure,
-        constant_arc_pieces=tuple(pieces))
+        pdf=_scalar_or_array(pdf), cdf=_scalar_or_array(cdf),
+        arc_measure=_scalar_or_array(arc_measure),
+        constant_arc_pieces=_constant_prefix(breaks, contact, tol,
+                                             arc_measure))

@@ -96,51 +96,28 @@ def psi_closed_form(theta, upsilon, tau, m, m0, alpha, r0, beta, area):
 def _omega_values(profile, ts, m, alpha, c):
     """E{Omega_t} for each exponent in ts, sharing one pass over the profile.
 
-    Constant-angle pieces are evaluated as differences of the closed form;
-    the remaining intervals (arccos-shaped angle) go through adaptive
-    quadrature. The two kinds partition [0, r_max] exactly.
+    The constant-angle pieces, a gapless prefix [0, lo] of the breakpoint
+    intervals, are evaluated as differences of the closed form; the rest,
+    [lo, r_max] with its arccos-shaped angle, goes through one adaptive
+    quadrature split at the breakpoints.
     """
     ts = np.asarray(list(ts), dtype=int)
     total = np.zeros(ts.size)
-    pieces = profile.constant_arc_pieces
-    for lo, hi, theta in pieces:
-        if theta == 0.0:
-            continue
+    lo = 0.0
+    for a, b, theta in profile.constant_arc_pieces:
         for i, t in enumerate(ts):
-            total[i] += _constant_piece(theta, lo, hi, t, m, alpha, c,
+            total[i] += _constant_piece(theta, a, b, t, m, alpha, c,
                                         profile.area)
-
-    edges = np.concatenate([[0.0], profile.breakpoints])
-
-    def covered(a, b):
-        mid = 0.5 * (a + b)
-        return any(lo <= mid <= hi for lo, hi, _ in pieces)
-
-    # merge contiguous uncovered intervals into single quadrature calls
-    run_start = None
-    run_breaks = []
-    spans = []
-    for a, b in zip(edges[:-1], edges[1:]):
-        if covered(a, b):
-            if run_start is not None:
-                spans.append((run_start, a, tuple(run_breaks)))
-                run_start = None
-                run_breaks = []
-        else:
-            if run_start is None:
-                run_start = a
-            else:
-                run_breaks.append(a)
-    if run_start is not None:
-        spans.append((run_start, edges[-1], tuple(run_breaks)))
-
-    for a, b, inner in spans:
+        lo = b
+    if lo < profile.r_max:
         def rows(r):
             return _kernel_rows(r, ts, m, alpha, c) * profile.pdf(r)[None, :]
 
-        vals, _ = adaptive_rows_quad(rows, a, b, breakpoints=inner,
+        inner = [x for x in profile.breakpoints[:-1] if x > lo]
+        vals, _ = adaptive_rows_quad(rows, lo, profile.r_max,
+                                     breakpoints=inner,
                                      rel_tol=_OMEGA_REL_TOL)
-        total += vals.real if np.iscomplexobj(vals) else vals
+        total += vals
     return total
 
 

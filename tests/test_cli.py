@@ -404,6 +404,20 @@ def test_sweep_inapplicable_variable_is_exit_two(tmp_path, capsys):
     assert "disk" in capsys.readouterr().err
 
 
+def test_sweep_empty_method_name_is_exit_two(tmp_path, capsys):
+    # an empty name in the list is an error, not the scenario's own method
+    path = _write(tmp_path, _base_raw())
+    out = tmp_path / "o.csv"
+    for methods in ("mc,", ",rlpg", ""):
+        rc = main(["sweep", "--scenario", path, "--out", str(out),
+                   "--variable", "M", "--values", "1", "--method", methods])
+        assert rc == 2, methods
+        assert "method must be one of" in capsys.readouterr().err
+    assert not out.exists()
+    with pytest.raises(ScenarioParseError):
+        resolve_method(parse_scenario_config(_base_raw()), "")
+
+
 def test_sweep_is_byte_stable(tmp_path):
     path = _write(tmp_path, _base_raw())
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -136,6 +136,20 @@ def test_arc_measure_square_center():
     assert abs(got - expect) < 1e-13
 
 
+def test_arc_measure_is_zero_at_negative_radius():
+    disk = disk_region((0, 0), 100.0)
+    square = make_regular_polygon(4, 1.0)
+    for reg, y0 in ((disk, (25.0, 0.0)), (disk, (0.0, 0.0)),
+                    (square, (0.0, 0.0))):
+        prof = distance_profile(reg, y0)
+        assert prof.arc_measure(-1.0) == 0.0
+        assert inside_arc_measure(reg, y0, -1.0) == 0.0
+        assert prof.arc_measure(np.array([-1.0, -1e-300])).tolist() == [0.0, 0.0]
+        # the pdf below 0 is +0.0, not the -0.0 of a negative r times 0
+        for got in (prof.pdf(-1.0), pdf_disk_closed_form(100.0, 25.0, -1.0)):
+            assert got == 0.0 and math.copysign(1.0, got) == 1.0
+
+
 # ----- disk closed forms -----
 
 def test_disk_center_pdf_values():
@@ -425,3 +439,13 @@ def test_constant_arc_pieces_have_constant_measure():
             rr = rr[rr > 0]
             got = prof.arc_measure(rr)
             assert np.max(np.abs(got - theta)) < 1e-10, reg.kind
+
+
+def test_near_rim_disk_pieces_end_at_breakpoints():
+    # W - d is below the breakpoint tolerance, so it is not a breakpoint and
+    # [0, W - d] is no constant piece: the quadrature covers [0, W + d] once
+    W = 100.0
+    for d in (W * (1.0 - 1e-13), W * (1.0 - 1e-11), W):
+        prof = distance_profile(disk_region((0, 0), W), (d, 0.0))
+        for lo, hi, _ in prof.constant_arc_pieces:
+            assert hi in prof.breakpoints, (d, lo, hi)

@@ -1,5 +1,6 @@
 """Property tests of the polygon distance law over random strictly convex
-polygons, with receivers in the interior, on an edge and at a vertex."""
+polygons, with receivers in the interior, on an edge and at a vertex, and of
+the series engine's moments against an all-quadrature oracle."""
 
 import math
 
@@ -7,9 +8,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finitenet import distance_profile, polygon_region
+from finitenet import disk_region, distance_profile, polygon_region, rlpg
 from finitenet.geometry import segment_corner_pdf
-from finitenet.quadrature import adaptive_quad
+from finitenet.quadrature import adaptive_quad, adaptive_rows_quad
 
 TWO_PI = 2.0 * math.pi
 
@@ -70,7 +71,12 @@ def _check_profile(reg, y0):
                                 rel_tol=1e-12, abs_tol=1e-14)
         assert abs(prof.cdf(r) - mass) <= 1e-10
 
-    for lo, hi, theta in prof.constant_arc_pieces:
+    # the pieces are consecutive breakpoint intervals starting at 0
+    pieces = prof.constant_arc_pieces
+    assert pieces[0][0] == 0.0
+    assert all(a[1] == b[0] for a, b in zip(pieces, pieces[1:]))
+    assert all(hi in prof.breakpoints for _, hi, _ in pieces)
+    for lo, hi, theta in pieces:
         got = prof.arc_measure(np.linspace(lo, hi, 9)[1:-1])
         assert np.max(np.abs(got - theta)) <= 1e-12
 
@@ -99,3 +105,69 @@ def test_edge_receiver_profile(case):
 @given(polygon_and_receiver("vertex"))
 def test_vertex_receiver_profile(case):
     _check_profile(*case)
+
+
+def _omega_by_quadrature(prof, ts, m, alpha, c):
+    """Oracle for rlpg._omega_values with no closed form: the same kernel
+    against the pdf over all of [0, r_max], split at every breakpoint."""
+    def rows(r):
+        return rlpg._kernel_rows(r, ts, m, alpha, c) * prof.pdf(r)[None, :]
+
+    vals, _ = adaptive_rows_quad(rows, 0.0, prof.r_max,
+                                 breakpoints=prof.breakpoints, rel_tol=1e-13)
+    return vals
+
+
+@st.composite
+def moment_params(draw):
+    """Interferer shape m, path-loss exponent and the tilt c as a multiple
+    of r_max^alpha (the kernel's knee sits at r ~ (c/m)^(1/alpha))."""
+    return (draw(st.floats(0.5, 3.0)), draw(st.floats(2.0, 6.0)),
+            draw(st.floats(-3.0, 1.0)))
+
+
+def _check_moments(reg, y0, params):
+    prof = distance_profile(reg, y0)
+    m, alpha, log_c = params
+    c = 10.0 ** log_c * prof.r_max ** alpha
+    ts = np.arange(3)
+    got = rlpg._omega_values(prof, ts, m, alpha, c)
+    want = _omega_by_quadrature(prof, ts, m, alpha, c)
+    assert np.all(np.abs(got - want) <= 1e-10 * np.abs(want)), (got, want)
+
+
+@st.composite
+def disk_and_receiver(draw):
+    """Disk receivers at the centre, inside, on the rim and within rounding
+    of the rim, where W - d falls below the breakpoint tolerance."""
+    radius = draw(st.floats(0.1, 1000.0))
+    frac = draw(st.one_of(st.just(0.0), st.floats(0.0, 1.0),
+                          st.sampled_from([1.0 - 1e-13, 1.0 - 1e-11, 1.0])))
+    ang = draw(st.floats(0.0, TWO_PI))
+    d = frac * radius
+    return disk_region((0.0, 0.0), radius), (d * math.cos(ang),
+                                             d * math.sin(ang))
+
+
+@settings(max_examples=30)
+@given(polygon_and_receiver("interior"), moment_params())
+def test_interior_receiver_moments(case, params):
+    _check_moments(*case, params)
+
+
+@settings(max_examples=30)
+@given(polygon_and_receiver("edge"), moment_params())
+def test_edge_receiver_moments(case, params):
+    _check_moments(*case, params)
+
+
+@settings(max_examples=30)
+@given(polygon_and_receiver("vertex"), moment_params())
+def test_vertex_receiver_moments(case, params):
+    _check_moments(*case, params)
+
+
+@settings(max_examples=30)
+@given(disk_and_receiver(), moment_params())
+def test_disk_receiver_moments(case, params):
+    _check_moments(*case, params)

@@ -9,6 +9,8 @@ every original object back.
 import sys
 from pathlib import Path
 
+import numpy as np
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
@@ -39,3 +41,24 @@ def test_tracer_wraps_and_restores_every_hook():
     for (module, attr, orig), wrapper in zip(hooks, wrapped):
         assert wrapper is not orig, (module.__name__, attr)
         assert getattr(module, attr) is orig, (module.__name__, attr)
+
+
+def test_disk_pdf_reaches_the_wrapped_closed_form():
+    # the benchmark counts disk pdf evaluations through the wrapped
+    # geometry.pdf_disk_closed_form, so a disk profile's pdf must look it up
+    # as a module attribute at call time, even when built before the wrap
+    from finitenet import disk_region, distance_profile
+
+    prof = distance_profile(disk_region((0.0, 0.0), 100.0), (25.0, 0.0))
+    tracing = _tracing()
+    tracer = tracing.Tracer()
+    try:
+        tracing.install(tracer)
+        prof.pdf(np.array([10.0, 80.0, 120.0]))
+        prof.pdf(50.0)
+    finally:
+        tracer.restore()
+    radii = [amount for _, name, amount in tracer.events
+             if name == "geometry.pdf.radii"]
+    assert radii == [3, 1]
+    assert [s[3] for s in tracer.spans].count("geometry.pdf") == 2
