@@ -27,16 +27,14 @@ from .geometry import (DistanceProfile, Region, disk_region, distance_profile,
                        inside_arc_measure, make_fig2_region,
                        make_regular_polygon, pdf_disk_closed_form,
                        polygon_region, region_contains)
-from .mgf import (EulerInversionParams, euler_invert_cdf, inner_expectation,
-                  outage_mgf, radial_kernel)
+from .mgf import (EulerInversionParams, euler_invert_cdf, outage_mgf,
+                  radial_kernel)
 from .montecarlo import (EmpiricalCdf, McEstimate, sample_uniform_in_region,
                          simulate_distance_distribution, simulate_outage)
-from .rlpg import (OmegaExpectationTable, expectation_omega,
-                   omega_expectation_table, outage_disk_center,
+from .rlpg import (omega_expectation_table, outage_disk_center,
                    outage_general_family, outage_rlpg, outage_rlpg_for_counts)
 from .scenario import OutageResult, Scenario
-from .specfun import (enumerate_weighted_partitions, gauss_2f1, ln_gamma,
-                      upper_incomplete_gamma_regularized)
+from .specfun import gauss_2f1, ln_gamma
 
 __version__ = "0.1.0"
 
@@ -50,7 +48,6 @@ __all__ = [
     "ModelInconsistencyError",
     "NakagamiChannel",
     "NumericFailure",
-    "OmegaExpectationTable",
     "OutageResult",
     "Region",
     "Scenario",
@@ -58,13 +55,10 @@ __all__ = [
     "UnsupportedModelError",
     "disk_region",
     "distance_profile",
-    "enumerate_weighted_partitions",
     "euler_invert_cdf",
-    "expectation_omega",
     "gauss_2f1",
     "general_cdf_eval",
     "general_fading_cdf",
-    "inner_expectation",
     "inside_arc_measure",
     "ln_gamma",
     "make_fig2_region",
@@ -86,5 +80,4 @@ __all__ = [
     "sample_uniform_in_region",
     "simulate_distance_distribution",
     "simulate_outage",
-    "upper_incomplete_gamma_regularized",
 ]

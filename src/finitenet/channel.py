@@ -90,20 +90,44 @@ class GeneralFadingCdf:
     terms: tuple
 
 
+def integer_shape(x):
+    """The positive integer within 1e-9 of x, or None.
+
+    The one rule for "is this shape an integer": the series engine, the
+    exponential-polynomial family and the CLI's `auto` routing all use it."""
+    if math.isfinite(x):
+        n = round(x)
+        if n >= 1 and abs(x - n) <= _INTEGER_TOL:
+            return int(n)
+    return None
+
+
+def nakagami_terms(m0):
+    """(k, m0**k / k!) for k < m0, the polynomial of the integer-shape
+    reference CDF P(m0, m0 g) = 1 - e^(-m0 g) sum_k a_k g^k. Integer powers
+    and factorials, so each coefficient is correctly rounded."""
+    return [(k, m0 ** k / math.factorial(k)) for k in range(m0)]
+
+
 def general_fading_cdf(terms, check_grid=None):
-    """Validate coefficients and build a GeneralFadingCdf."""
+    """Validate coefficients and build a GeneralFadingCdf.
+
+    The default check grid reaches past the tail of every term: a term
+    g^k e^(-n g) peaks at k/n and has spread about sqrt(k+1)/n."""
     cleaned = []
     for n, k, a in terms:
-        if not n > 0 or abs(n - round(n)) > _INTEGER_TOL:
+        rate = integer_shape(n)
+        if rate is None:
             raise ModelInconsistencyError(
                 f"decay rate must be a positive integer, got {n}")
         if k != int(k) or k < 0:
             raise ModelInconsistencyError(f"power must be integer >= 0, got {k}")
-        cleaned.append((float(round(n)), int(k), float(a)))
+        cleaned.append((float(rate), int(k), float(a)))
     cdf = GeneralFadingCdf(terms=tuple(cleaned))
     if check_grid is None:
-        n_min = min(n for n, _, _ in cleaned)
-        check_grid = np.linspace(0.0, 50.0 / n_min, 2001)
+        end = max((k + 12.0 * math.sqrt(k + 1.0) + 40.0) / n
+                  for n, k, _ in cleaned)
+        check_grid = np.linspace(0.0, end, 2001)
     vals = general_cdf_eval(cdf, check_grid)
     if np.any(np.diff(vals) < -1e-12):
         raise ModelInconsistencyError("coefficients give a decreasing CDF")
@@ -137,10 +161,9 @@ def nakagami_as_general_cdf(m0):
     """Integer-shape Nakagami reference CDF as an exponential-polynomial law.
 
     P(m0, m0 g) = 1 - e^(-m0 g) sum_{k<m0} (m0 g)^k / k!; needs integer m0."""
-    if abs(m0 - round(m0)) > _INTEGER_TOL or m0 < 1:
+    mi = integer_shape(m0)
+    if mi is None:
         raise UnsupportedModelError(
             f"the exponential-polynomial family needs integer shape, got {m0}")
-    mi = int(round(m0))
-    terms = [(float(mi), k, float(mi) ** k / math.factorial(k))
-             for k in range(mi)]
-    return general_fading_cdf(terms)
+    return general_fading_cdf([(float(mi), k, a)
+                               for k, a in nakagami_terms(mi)])

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .baselines import outage_ppp_rayleigh
-from .channel import NakagamiChannel
+from .channel import NakagamiChannel, integer_shape
 from .errors import (InvalidParameterError, ModelInconsistencyError,
                      NumericFailure, ScenarioParseError, UnsupportedModelError)
 from .geometry import (disk_region, make_fig2_region, make_regular_polygon,
@@ -28,7 +28,6 @@ from .montecarlo import simulate_outage
 from .rlpg import outage_rlpg, outage_rlpg_for_counts
 from .scenario import Scenario
 
-_INTEGER_TOL = 1e-9
 _MAXM_CAP = 100000
 _SWEEP_WORKERS = 4
 
@@ -379,7 +378,7 @@ def resolve_method(cfg, override=None):
             f"method must be one of {', '.join(METHODS)}, got {name!r}")
     if name != "auto":
         return name
-    if cfg.m0 >= 1 and abs(cfg.m0 - round(cfg.m0)) <= _INTEGER_TOL:
+    if integer_shape(cfg.m0) is not None:
         return "rlpg"
     return "mgf"
 
@@ -610,7 +609,7 @@ def cmd_run(args):
 
 def cmd_sweep(args):
     cfg = _load_cfg(args)
-    requested = ("auto" if args.method is None else args.method).split(",")
+    requested = (cfg.method if args.method is None else args.method).split(",")
     methods = []
     for name in requested:
         meth = resolve_method(cfg, name.strip())

@@ -189,26 +189,6 @@ def _radial_mixture_rows(profile, m, alpha, q, rel_tol, abs_tol=1e-14):
     return vals.reshape(np.shape(q))
 
 
-def inner_expectation(profile, m, alpha, r0, s, g0, rel_tol=1e-10):
-    """Average of exp(-s G (R/r0)^{-alpha} / g0) over interferer distance R
-    and its unit-mean gamma gain G with shape m.
-
-    The gain average has a closed form, so only the distance integral is
-    done numerically (split at the profile's breakpoints). The modulus is
-    at most 1 for Re(s) >= 0.
-    """
-    if not g0 > 0:
-        raise InvalidParameterError(
-            f"conditioning gain must be positive, got {g0}")
-    s = complex(s)
-    if s.real < 0:
-        raise InvalidParameterError("transform point must satisfy Re(s) >= 0")
-    if s == 0:
-        return 1.0 + 0.0j
-    q = (r0 ** alpha) * s / g0
-    return complex(_radial_mixture_rows(profile, m, alpha, [q], rel_tol)[0])
-
-
 def phi_closed_form(theta, upsilon, m, alpha, r0, s, g0, area):
     """Closed form of the radial kernel integral over a piece [0, upsilon]
     of the distance density where the in-region arc angle is the constant

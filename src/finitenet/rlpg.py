@@ -10,34 +10,22 @@ where the in-region arc angle is constant, adaptive quadrature elsewhere.
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import NakagamiChannel
+from .channel import NakagamiChannel, integer_shape, nakagami_terms
 from .errors import InvalidParameterError, NumericFailure, UnsupportedModelError
 from .geometry import disk_region
 from .quadrature import adaptive_rows_quad
 from .scenario import OutageResult, Scenario
 from .specfun import enumerate_weighted_partitions, gauss_2f1, ln_gamma
 
-_INTEGER_TOL = 1e-9
 _CLAMP_SLACK = 1e-9
 _OMEGA_REL_TOL = 1e-11
 # Conservative absolute-accuracy figure for the assembled result: the moment
 # integrals are solved to 1e-11 relative and the combinatorial assembly is
 # exact, so round-off in the alternating-sign assembly dominates.
 _RLPG_ABS_ERROR = 1e-9
-
-
-@dataclass(frozen=True)
-class OmegaExpectationTable:
-    """Per-scenario cache of the interferer moments.
-
-    values[t] = E{ exp(-c G R^{-alpha}) (G R^{-alpha})^t }; every entry is
-    positive and finite and values[0] never exceeds 1.
-    """
-    values: tuple
 
 
 def _kernel_rows(r, ts, m, alpha, c):
@@ -82,17 +70,6 @@ def _constant_piece(theta, lo, hi, t, m, alpha, c, area):
         return float(vals[0])
 
 
-def psi_closed_form(theta, upsilon, tau, m, m0, alpha, r0, beta, area):
-    """Closed form of the moment integral over a piece [0, upsilon] of the
-    distance density where the in-region arc angle is the constant theta
-    (density theta*r/area there). Falls back to direct quadrature of the
-    same piece if the hypergeometric evaluation fails."""
-    if upsilon < 0.0:
-        raise InvalidParameterError(f"piece radius must be >= 0, got {upsilon}")
-    c = beta * r0 ** alpha * m0
-    return _constant_piece(theta, 0.0, upsilon, tau, m, alpha, c, area)
-
-
 def _omega_values(profile, ts, m, alpha, c):
     """E{Omega_t} for each exponent in ts, sharing one pass over the profile.
 
@@ -121,23 +98,6 @@ def _omega_values(profile, ts, m, alpha, c):
     return total
 
 
-def expectation_omega(profile, t, m, m0, alpha, r0, beta):
-    """E{ exp(-m0 beta r0^alpha G R^{-alpha}) (G R^{-alpha})^t } for one
-    interferer at distance R with gamma gain G of shape m."""
-    if t != int(t) or t < 0:
-        raise InvalidParameterError(f"moment order must be integer >= 0, got {t}")
-    if m0 != int(m0) or m0 < 1:
-        raise InvalidParameterError(
-            f"reference shape must be a positive integer, got {m0}")
-    if t > m0 - 1:
-        raise InvalidParameterError(
-            f"moment order {t} exceeds reference shape bound {int(m0) - 1}")
-    if not beta > 0:
-        raise InvalidParameterError(f"threshold must be positive, got {beta}")
-    c = beta * r0 ** alpha * m0
-    return float(_omega_values(profile, [int(t)], m, alpha, c)[0])
-
-
 def _moment_values(profile, scenario, rate, count):
     """E{Omega_t} for t < count at the tilt c = rate * beta * r0^alpha,
     checked positive and finite."""
@@ -150,16 +110,15 @@ def _moment_values(profile, scenario, rate, count):
 
 
 def omega_expectation_table(scenario):
-    """Moment table for an integer-shape scenario, computed once and reused
-    across every term of the outage assembly."""
-    ch = scenario.channel
-    if abs(ch.m0 - round(ch.m0)) > _INTEGER_TOL or ch.m0 < 0.999999999:
+    """Moments E{Omega_t}, t < m0, of an integer-shape scenario: computed
+    once and reused across every term of the outage assembly. Each entry is
+    positive and finite and the first never exceeds 1."""
+    m0 = integer_shape(scenario.channel.m0)
+    if m0 is None:
         raise UnsupportedModelError(
-            f"reference fading shape {ch.m0} is not a positive integer; "
-            "use outage_mgf for real-valued shapes")
-    m0 = int(round(ch.m0))
-    return OmegaExpectationTable(
-        values=_moment_values(scenario.profile(), scenario, m0, m0))
+            f"reference fading shape {scenario.channel.m0} is not a positive "
+            "integer; use outage_mgf for real-valued shapes")
+    return _moment_values(scenario.profile(), scenario, m0, m0)
 
 
 def _interference_moment_sums(values, num_interferers, max_j):
@@ -224,8 +183,8 @@ def outage_rlpg_for_counts(scenario, counts):
     """Outage at several interferer counts, reusing one moment table (the
     table does not depend on the count). Returns a list of floats."""
     table = omega_expectation_table(scenario)
-    m0 = int(round(scenario.channel.m0))
-    terms = [(k, m0 ** k / math.factorial(k)) for k in range(m0)]
+    m0 = len(table)
+    terms = nakagami_terms(m0)
     br = scenario.beta / scenario.rho0
     ba = scenario.beta * scenario.r0 ** scenario.alpha
     out = []
@@ -233,7 +192,7 @@ def outage_rlpg_for_counts(scenario, counts):
         if num != int(num) or num < 0:
             raise InvalidParameterError(
                 f"interferer count must be integer >= 0, got {num}")
-        raw = 1.0 - _tilted_average(table.values, int(num), m0, terms, br, ba)
+        raw = 1.0 - _tilted_average(table, int(num), m0, terms, br, ba)
         out.append(_clamp_unit(raw, "outage assembly"))
     return out
 

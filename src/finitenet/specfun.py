@@ -25,15 +25,6 @@ def ln_gamma(x):
     return math.lgamma(x)
 
 
-def upper_incomplete_gamma_regularized(a, x):
-    """Q(a, x) = Gamma(a, x) / Gamma(a) for a > 0, x >= 0."""
-    if not a > 0:
-        raise InvalidParameterError(f"shape must be positive, got {a}")
-    if x < 0:
-        raise InvalidParameterError(f"argument must be nonnegative, got {x}")
-    return float(_sp.gammaincc(a, x))
-
-
 # ----- Gauss hypergeometric function -----
 
 def _series_2f1(a, b, c, z):

@@ -270,7 +270,7 @@ def test_partition_collapse_equals_composition_enumeration():
                       num_interferers=M,
                       channel=NakagamiChannel(m0=m0, m=1.5), alpha=3.0,
                       beta=1.0, rho0=100.0)
-        table = omega_expectation_table(sc).values
+        table = omega_expectation_table(sc)
         br = sc.beta / sc.rho0
         ba = sc.beta * sc.r0 ** sc.alpha
         acc = 0.0

@@ -10,6 +10,7 @@ from finitenet import (InvalidParameterError, ModelInconsistencyError,
                        general_cdf_eval, general_fading_cdf,
                        nakagami_as_general_cdf, nakagami_power_gain_pdf,
                        nakagami_reference_cdf)
+from finitenet.channel import integer_shape
 from finitenet.quadrature import adaptive_quad
 
 
@@ -114,7 +115,8 @@ def test_m0_four_matches_gamma_cdf():
 
 def test_general_cdf_matches_gamma_for_integer_shapes():
     rng = np.random.default_rng(3)
-    for m0 in range(1, 7):
+    # from shape 21 up the default check grid must reach past 50/m0
+    for m0 in (*range(1, 7), 21, 40, 100):
         cdf = nakagami_as_general_cdf(m0)
         g = rng.uniform(0.0, 12.0, size=100)
         got = general_cdf_eval(cdf, g)
@@ -129,6 +131,20 @@ def test_non_integer_shape_rejected():
         nakagami_as_general_cdf(0.5)
 
 
+def test_one_integer_shape_rule():
+    # within 1e-9 of a positive integer on either side counts as that integer
+    for x, n in ((1 - 5e-10, 1), (1 + 5e-10, 1), (3.0, 3), (7 - 5e-10, 7)):
+        assert integer_shape(x) == n, x
+    for x in (1 - 2e-9, 1 + 2e-9, 0.5, 1.5, 1e-10, 0.0, -1.0,
+              float("nan"), float("inf")):
+        assert integer_shape(x) is None, x
+    one = nakagami_as_general_cdf(1).terms
+    assert nakagami_as_general_cdf(1 - 5e-10).terms == one
+    assert nakagami_as_general_cdf(1 + 5e-10).terms == one
+    with pytest.raises(UnsupportedModelError):
+        nakagami_as_general_cdf(1 - 2e-9)
+
+
 def test_inconsistent_coefficients_rejected():
     # F(0) = -1: value escapes [0, 1]
     with pytest.raises(ModelInconsistencyError):
@@ -140,9 +156,11 @@ def test_inconsistent_coefficients_rejected():
     with pytest.raises(ModelInconsistencyError):
         general_fading_cdf([(1.0, 0, 1.0)],
                            check_grid=np.linspace(0.0, 1.0, 101))
-    # malformed decay rate / power
+    # malformed decay rate / power; a rate that rounds to 0 is no integer
     with pytest.raises(ModelInconsistencyError):
         general_fading_cdf([(0.7, 0, 1.0)])
+    with pytest.raises(ModelInconsistencyError, match="decay rate"):
+        general_fading_cdf([(1e-10, 0, 1.0)])
     with pytest.raises(ModelInconsistencyError):
         general_fading_cdf([(1.0, -1, 1.0)])
 

@@ -197,6 +197,11 @@ def test_auto_dispatch_follows_reference_shape():
     assert resolve_method(parse_scenario_config(_base_raw(m0=3))) == "rlpg"
     assert resolve_method(parse_scenario_config(_base_raw(m0=1.5))) == "mgf"
     assert resolve_method(parse_scenario_config(_base_raw(m0=0.5, m=0.5))) == "mgf"
+    # the one integer-shape rule: within 1e-9 of a positive integer
+    for m0, method in ((1 - 5e-10, "rlpg"), (1 + 5e-10, "rlpg"),
+                       (1 - 2e-9, "mgf"), (1 + 2e-9, "mgf")):
+        assert resolve_method(parse_scenario_config(_base_raw(m0=m0))) \
+            == method, m0
     cfg = parse_scenario_config(_base_raw(method="mc"))
     assert resolve_method(cfg) == "mc"
     assert resolve_method(cfg, "rlpg") == "rlpg"
@@ -416,6 +421,20 @@ def test_sweep_empty_method_name_is_exit_two(tmp_path, capsys):
     assert not out.exists()
     with pytest.raises(ScenarioParseError):
         resolve_method(parse_scenario_config(_base_raw()), "")
+
+
+def test_sweep_defaults_to_the_scenario_method(tmp_path, capsys):
+    # without --method, sweep uses the file's method, as run and maxm do
+    path = _write(tmp_path, _base_raw(method="ppp"))
+    assert main(["run", "--scenario", path,
+                 "--out", str(tmp_path / "r.csv")]) == 0
+    assert "method=ppp" in capsys.readouterr().out
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    args = ["sweep", "--scenario", path, "--variable", "M", "--values", "1,2"]
+    assert main(args + ["--out", str(a)]) == 0
+    assert main(args + ["--out", str(b), "--method", "ppp"]) == 0
+    assert _read_csv(str(a))[0] == ["scenario", "M", "outage_ppp"]
+    assert a.read_bytes() == b.read_bytes()
 
 
 def test_sweep_is_byte_stable(tmp_path):

@@ -14,8 +14,9 @@ from finitenet import (InvalidParameterError, NakagamiChannel, Scenario,
                        disk_region, distance_profile, inside_arc_measure,
                        make_fig2_region, make_regular_polygon,
                        pdf_disk_closed_form, polygon_region, region_contains)
-from finitenet.geometry import pdf_regular_polygon_center, segment_corner_pdf
 from finitenet.quadrature import adaptive_quad
+
+from geometry_oracles import pdf_regular_polygon_center, segment_corner_pdf
 
 TWO_PI = 2.0 * math.pi
 

@@ -1,6 +1,7 @@
 """Property tests of the polygon distance law over random strictly convex
-polygons, with receivers in the interior, on an edge and at a vertex, and of
-the series engine's moments against an all-quadrature oracle."""
+polygons, with receivers in the interior, on an edge and at a vertex, of
+the series engine's moments against an all-quadrature oracle, and of its
+outage against the exponential-polynomial family on the same law."""
 
 import math
 
@@ -8,9 +9,13 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finitenet import disk_region, distance_profile, polygon_region, rlpg
-from finitenet.geometry import segment_corner_pdf
+from finitenet import (NakagamiChannel, NumericFailure, Scenario, disk_region,
+                       distance_profile, nakagami_as_general_cdf,
+                       outage_general_family, outage_rlpg,
+                       outage_rlpg_for_counts, polygon_region, rlpg)
 from finitenet.quadrature import adaptive_quad, adaptive_rows_quad
+
+from geometry_oracles import segment_corner_pdf
 
 TWO_PI = 2.0 * math.pi
 
@@ -171,3 +176,44 @@ def test_vertex_receiver_moments(case, params):
 @given(disk_and_receiver(), moment_params())
 def test_disk_receiver_moments(case, params):
     _check_moments(*case, params)
+
+
+@st.composite
+def outage_scenarios(draw):
+    """A random region and receiver (polygon interior, edge or vertex, or a
+    disk) with an integer reference shape m0 in 1-30."""
+    kind = draw(st.sampled_from(["interior", "edge", "vertex", "disk"]))
+    reg, y0 = draw(disk_and_receiver() if kind == "disk"
+                   else polygon_and_receiver(kind))
+    m, alpha, _ = draw(moment_params())
+    return Scenario(
+        region=reg, receiver=y0, r0=draw(st.floats(0.01, 0.2)) * reg.scale,
+        num_interferers=draw(st.integers(0, 11)),
+        channel=NakagamiChannel(m0=draw(st.integers(1, 30)), m=m),
+        alpha=alpha, beta=10.0 ** draw(st.floats(-1.0, 1.0)),
+        rho0=10.0 ** draw(st.floats(0.0, 3.0)))
+
+
+def _outcome(engine, *args):
+    try:
+        return engine(*args).outage
+    except NumericFailure as exc:
+        return str(exc)
+
+
+@settings(max_examples=40)
+@given(outage_scenarios())
+def test_series_outage_matches_general_family(sc):
+    # the integer-shape Nakagami law as an exponential polynomial runs the
+    # same moments and assembly as the series engine, so both give the same
+    # number, or both refuse with the same message (a moment table that
+    # underflows, as at scale ~1000 with alpha = 6 and m0 = 30)
+    m0 = sc.channel.m0
+    series = _outcome(outage_rlpg, sc)
+    assert _outcome(outage_general_family, sc,
+                    nakagami_as_general_cdf(m0)) == series
+    if isinstance(series, str):
+        return
+    eps = outage_rlpg_for_counts(sc, range(12))
+    assert all(0.0 <= e <= 1.0 for e in eps)
+    assert all(a <= b for a, b in zip(eps, eps[1:])), eps

@@ -9,10 +9,10 @@ import pytest
 
 from finitenet import (EulerInversionParams, InvalidParameterError,
                        NakagamiChannel, NumericFailure, Scenario, disk_region,
-                       distance_profile, euler_invert_cdf, inner_expectation,
-                       make_fig2_region, nakagami_power_gain_pdf, outage_mgf,
-                       outage_rlpg, radial_kernel, simulate_outage)
-from finitenet.mgf import phi_closed_form
+                       distance_profile, euler_invert_cdf, make_fig2_region,
+                       nakagami_power_gain_pdf, outage_mgf, outage_rlpg,
+                       radial_kernel, simulate_outage)
+from finitenet.mgf import _radial_mixture_rows, phi_closed_form
 from finitenet.quadrature import adaptive_quad
 from scipy import special as sp
 
@@ -160,17 +160,11 @@ def test_inversion_uses_each_node_once():
 
 # ----- inner expectation over gain and distance -----
 
-def test_inner_expectation_at_zero_is_one():
-    prof = distance_profile(disk_region((0, 0), 10.0), (0, 0))
-    assert inner_expectation(prof, 1.0, 3.0, 2.0, 0.0, 0.7) == 1.0 + 0.0j
-
-
-def test_inner_expectation_validation():
-    prof = distance_profile(disk_region((0, 0), 10.0), (0, 0))
-    with pytest.raises(InvalidParameterError):
-        inner_expectation(prof, 1.0, 3.0, 2.0, 1.0, 0.0)
-    with pytest.raises(InvalidParameterError):
-        inner_expectation(prof, 1.0, 3.0, 2.0, -0.5 + 1.0j, 0.7)
+def _inner(prof, m, alpha, r0, s, g0, rel_tol=1e-10):
+    # E{exp(-s G (R/r0)^{-alpha} / g0)} is the radial kernel row at
+    # q = r0^alpha s / g0
+    q = (r0 ** alpha) * complex(s) / g0
+    return complex(_radial_mixture_rows(prof, m, alpha, [q], rel_tol)[0])
 
 
 def _inner_oracle(prof, m, alpha, r0, s, g0):
@@ -196,7 +190,7 @@ def test_inner_expectation_matches_brute_double_integral():
     prof = distance_profile(disk_region((0, 0), 10.0), (3.0, 0.0))
     m, alpha, r0, g0 = 1.7, 3.0, 2.0, 0.7
     for s in (4.3, (8.0 * LN10 + 2j * math.pi) / 2.0):
-        got = inner_expectation(prof, m, alpha, r0, s, g0, rel_tol=1e-12)
+        got = _inner(prof, m, alpha, r0, s, g0, rel_tol=1e-12)
         truth = _inner_oracle(prof, m, alpha, r0, complex(s), g0)
         assert abs(got - truth) < 1e-8, s
 
@@ -206,7 +200,7 @@ def test_inner_expectation_large_shape_limit():
     # distance average of the exponential kernel
     prof = distance_profile(disk_region((0, 0), 10.0), (0, 0))
     alpha, r0, g0, s = 3.0, 0.8, 2.0, 1.1 + 0.7j
-    got = inner_expectation(prof, 1.0e4, alpha, r0, s, g0, rel_tol=1e-12)
+    got = _inner(prof, 1.0e4, alpha, r0, s, g0, rel_tol=1e-12)
     limit, _ = adaptive_quad(
         lambda r: np.exp(-s * (r / r0) ** -alpha / g0) * prof.pdf(r),
         0.0, prof.r_max, breakpoints=prof.breakpoints, rel_tol=1e-12)
@@ -217,7 +211,7 @@ def test_inner_expectation_modulus_bounded():
     prof = distance_profile(make_fig2_region(10.0), (5.0, 3.0))
     for c in range(6):
         s = (8.0 * LN10 + 2j * math.pi * c) / 2.0
-        val = inner_expectation(prof, 2.5, 4.0, 1.0, s, 0.4)
+        val = _inner(prof, 2.5, 4.0, 1.0, s, 0.4)
         assert abs(val) <= 1.0 + 1e-12
 
 

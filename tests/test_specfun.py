@@ -6,9 +6,8 @@ from itertools import product
 import numpy as np
 import pytest
 
-from finitenet import (InvalidParameterError, enumerate_weighted_partitions,
-                       gauss_2f1, ln_gamma,
-                       upper_incomplete_gamma_regularized)
+from finitenet import InvalidParameterError, gauss_2f1, ln_gamma
+from finitenet.specfun import enumerate_weighted_partitions
 
 # Reference values computed with 30-digit arbitrary-precision arithmetic and
 # frozen here. Arguments follow the patterns the moment integrals produce:
@@ -105,32 +104,6 @@ def test_ln_gamma_values_and_recurrence():
         ln_gamma(0.0)
     with pytest.raises(InvalidParameterError):
         ln_gamma(-2.5)
-
-
-def test_upper_gamma_q_identities():
-    assert upper_incomplete_gamma_regularized(2.0, 0.0) == 1.0
-    for t in (0.1, 1.0, 4.2):
-        got = upper_incomplete_gamma_regularized(1.0, t)
-        assert abs(got - math.exp(-t)) < 1e-14
-    # Q(2.5, 3.7) by climbing the recurrence from Q(0.5, x) = erfc(sqrt x)
-    x = 3.7
-    q = math.erfc(math.sqrt(x))
-    for a in (0.5, 1.5):
-        q += x ** a * math.exp(-x) / math.gamma(a + 1.0)
-    assert abs(upper_incomplete_gamma_regularized(2.5, x) - q) < 1e-14
-    with pytest.raises(InvalidParameterError):
-        upper_incomplete_gamma_regularized(0.0, 1.0)
-    with pytest.raises(InvalidParameterError):
-        upper_incomplete_gamma_regularized(1.0, -1.0)
-
-
-def test_upper_gamma_q_recurrence_grid():
-    for a in (0.5, 1.0, 2.5, 4.0):
-        for x in (0.2, 1.0, 3.0, 11.0):
-            lhs = upper_incomplete_gamma_regularized(a + 1.0, x)
-            rhs = (upper_incomplete_gamma_regularized(a, x)
-                   + x ** a * math.exp(-x) / math.gamma(a + 1.0))
-            assert abs(lhs - rhs) < 1e-14
 
 
 # ----- partition enumeration -----
