@@ -8,7 +8,9 @@ node.
 """
 
 import math
-from concurrent.futures import Future
+import os
+import threading
+from concurrent.futures import FIRST_EXCEPTION, Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -222,6 +224,30 @@ def _kernel_key(scenario, inner_rel):
             scenario.alpha, inner_rel)
 
 
+def _tabled_pdf(pdf):
+    """pdf with a table from each abscissa array (its shape and bytes) to
+    its values, stored read-only.
+
+    Every radial batch restarts its adaptive quadrature on the same
+    breakpoint panels and bisects the same dyadic tree, so most abscissa
+    arrays of one kernel repeat whole. Threads that miss on the same array
+    at once each compute the same values, and the table keeps the first.
+    """
+    table = {}
+
+    def tabled(r):
+        r = np.asarray(r, dtype=float)
+        key = (r.shape, r.tobytes())
+        vals = table.get(key)
+        if vals is None:
+            vals = np.asarray(pdf(r))
+            vals.setflags(write=False)
+            vals = table.setdefault(key, vals)
+        return vals
+
+    return tabled
+
+
 class _RadialKernel:
     """The radial kernel rows of one distance profile, interferer shape m,
     path-loss exponent and inner tolerance, each q batch computed once.
@@ -232,7 +258,8 @@ class _RadialKernel:
     parameters can share one kernel, and a batch it has seen comes back
     bit-identical without another radial integral. Threads share it too:
     the first to ask for a batch computes it and the others wait for that
-    result (or its exception).
+    result (or its exception). The distance pdf is tabulated per abscissa
+    array (_tabled_pdf), since the batches evaluate it on the same panels.
 
     Batches are memoised whole, by their bytes: the adaptive quadrature
     refines all rows of a batch together, so a row's value depends on the
@@ -241,7 +268,8 @@ class _RadialKernel:
 
     def __init__(self, scenario, inner_rel):
         self.key = _kernel_key(scenario, inner_rel)
-        self._profile = scenario.profile()
+        profile = scenario.profile()
+        self._profile = replace(profile, pdf=_tabled_pdf(profile.pdf))
         self._m = scenario.channel.m
         self._alpha = scenario.alpha
         self._inner_rel = inner_rel
@@ -273,6 +301,59 @@ def radial_kernel(scenario, rel_tol=1e-10):
     return _RadialKernel(scenario, _inner_rel_tol(rel_tol))
 
 
+# The transform nodes of one outage_mgf sample are integrated on a pool of
+# this many threads, one per CPU the process may run on; at 1 they run in a
+# plain loop. Each node's outer integral is self-contained and the radial
+# batches are memoised, so the width changes no number.
+_NODE_WORKERS = len(os.sched_getaffinity(0))
+
+
+class _Abandoned(Exception):
+    """Stops a node's outer integral once another node has failed."""
+
+
+def _sample_nodes(transform, svals):
+    """[transform(s, stop) for s in svals] as a complex array.
+
+    The first node runs on the calling thread, so a failure there costs no
+    other node; the rest run on a pool of _NODE_WORKERS threads. ``stop``
+    is a threading.Event that is set once a node fails (or the caller is
+    interrupted): transform should then raise _Abandoned at its next
+    radial batch. The first exception is re-raised unchanged, after the
+    queued nodes are cancelled and the running ones have stopped.
+    """
+    stop = threading.Event()
+    out = np.empty(svals.size, dtype=complex)
+    out[0] = transform(svals[0], stop)
+    if _NODE_WORKERS == 1:
+        for idx in range(1, svals.size):
+            out[idx] = transform(svals[idx], stop)
+        return out
+    failures = []
+
+    def guarded(s):
+        try:
+            return transform(s, stop)
+        except _Abandoned:
+            raise
+        except BaseException as exc:
+            failures.append(exc)
+            stop.set()
+            raise
+
+    pool = ThreadPoolExecutor(max_workers=_NODE_WORKERS)
+    futures = [pool.submit(guarded, s) for s in svals[1:]]
+    try:
+        wait(futures, return_when=FIRST_EXCEPTION)
+    finally:
+        stop.set()
+        pool.shutdown(cancel_futures=True)
+    if failures:
+        raise failures[0]
+    out[1:] = [f.result() for f in futures]
+    return out
+
+
 def outage_mgf(scenario, params=None, rel_tol=1e-10, *, kernel=None):
     """Outage probability by inverting the Laplace transform of the
     noise-plus-interference functional at 1/beta.
@@ -281,7 +362,9 @@ def outage_mgf(scenario, params=None, rel_tol=1e-10, *, kernel=None):
     outer integral over the reference gain (substituted onto (0,1), where
     the integrand vanishes at both ends) whose integrand carries the M-th
     power of the inner distance expectation; inner values are computed for
-    all outer nodes of a panel batch in one vectorized call.
+    all outer nodes of a panel batch in one vectorized call. The nodes'
+    outer integrals run on a pool as wide as the CPUs the process may use
+    (_sample_nodes); the result is bit-identical for any width.
 
     The reported abs_error 10^{-digits} is what the inversion aims at, not a
     bound: an accepted sum can be off by about e^{-A/2} (see
@@ -313,27 +396,27 @@ def outage_mgf(scenario, params=None, rel_tol=1e-10, *, kernel=None):
     lgamma_m0 = ln_gamma(m0)
     log_m0 = math.log(m0)
 
-    def sample(svals):
-        transforms = np.empty(svals.size, dtype=complex)
-        for idx, s in enumerate(svals):
+    def transform(s, stop):
 
-            def grand(u, s=s):
-                g0 = u / (1.0 - u)
-                logw = ((m0 - 1.0) * np.log(g0) + m0 * log_m0 - m0 * g0
-                        - lgamma_m0 - 2.0 * np.log1p(-u))
-                vals = np.exp(logw - s / (rho0 * g0))
-                if num_interferers:
-                    q = (r0 ** alpha) * s / g0
-                    inner = kernel.rows(q)
-                    vals = vals * inner ** num_interferers
-                return vals[None, :]
+        def grand(u):
+            g0 = u / (1.0 - u)
+            logw = ((m0 - 1.0) * np.log(g0) + m0 * log_m0 - m0 * g0
+                    - lgamma_m0 - 2.0 * np.log1p(-u))
+            vals = np.exp(logw - s / (rho0 * g0))
+            if num_interferers:
+                if stop.is_set():
+                    raise _Abandoned
+                q = (r0 ** alpha) * s / g0
+                inner = kernel.rows(q)
+                vals = vals * inner ** num_interferers
+            return vals[None, :]
 
-            val, _ = adaptive_rows_quad(grand, 0.0, 1.0, breakpoints=u_breaks,
-                                        rel_tol=rel_tol, abs_tol=1e-13)
-            transforms[idx] = val[0]
-        return transforms
+        val, _ = adaptive_rows_quad(grand, 0.0, 1.0, breakpoints=u_breaks,
+                                    rel_tol=rel_tol, abs_tol=1e-13)
+        return val[0]
 
-    cdf = _invert_cdf(sample, z, params)
+    cdf = _invert_cdf(lambda svals: _sample_nodes(transform, svals), z,
+                      params)
     eps = min(1.0, max(0.0, 1.0 - cdf))
     return OutageResult(outage=eps, method="mgf",
                         abs_error=10.0 ** (-params.accuracy_digits))

@@ -1,5 +1,7 @@
 """Scenario and result containers shared by the outage methods."""
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,12 +21,14 @@ class Scenario:
     region: the network area containing the interferers.
     receiver: receiver coordinates inside the closed region; validated once
         here and stored as a read-only float array of shape (2,).
-    r0: reference-transmitter distance (the intended link length).
-    num_interferers: number of uniformly placed interfering nodes.
+    r0: reference-transmitter distance (the intended link length), finite.
+    num_interferers: number of uniformly placed interfering nodes; any
+        integral value is stored as a Python int.
     channel: Nakagami shapes for the reference and interferer links.
     alpha: path-loss exponent in [2, 6].
-    beta: SINR threshold, linear scale.
-    rho0: mean SNR of the reference link at distance r0, linear scale.
+    beta: SINR threshold, linear scale, finite.
+    rho0: mean SNR of the reference link at distance r0, linear scale;
+        inf is a noiseless link.
     """
     region: Region
     receiver: np.ndarray
@@ -39,17 +43,21 @@ class Scenario:
         if not (ALPHA_MIN <= self.alpha <= ALPHA_MAX):
             raise InvalidParameterError(
                 f"path-loss exponent must lie in [2, 6], got {self.alpha}")
-        if not self.r0 > 0:
-            raise InvalidParameterError(f"r0 must be positive, got {self.r0}")
-        if not self.beta > 0:
-            raise InvalidParameterError(f"beta must be positive, got {self.beta}")
+        if not (math.isfinite(self.r0) and self.r0 > 0):
+            raise InvalidParameterError(
+                f"r0 must be positive and finite, got {self.r0}")
+        if not (math.isfinite(self.beta) and self.beta > 0):
+            raise InvalidParameterError(
+                f"beta must be positive and finite, got {self.beta}")
         if not self.rho0 > 0:
             raise InvalidParameterError(f"rho0 must be positive, got {self.rho0}")
-        if self.num_interferers < 0 or \
-                self.num_interferers != int(self.num_interferers):
+        count = self.num_interferers
+        if not (isinstance(count, numbers.Real) and math.isfinite(count)
+                and count >= 0 and count == int(count)):
             raise InvalidParameterError(
                 f"number of interferers must be an integer >= 0, "
-                f"got {self.num_interferers}")
+                f"got {count}")
+        object.__setattr__(self, "num_interferers", int(count))
         xy = np.array(self.receiver, dtype=float).reshape(2)
         if not region_contains(self.region, xy):
             raise InvalidParameterError(

@@ -599,3 +599,24 @@ def test_failure_in_shared_radial_batch_is_exit_three(tmp_path, capsys,
     assert rc == 3
     assert "synthetic radial failure" in capsys.readouterr().err
     assert len(calls) == 1
+
+
+def test_failure_in_a_later_transform_node_is_exit_three(tmp_path, capsys,
+                                                         monkeypatch):
+    # the 20th batch belongs to a node on the pool, past the first node
+    monkeypatch.setattr(mgf, "_NODE_WORKERS", 2)
+    rows = mgf._radial_mixture_rows
+    calls = []
+
+    def fail_late(profile, m, alpha, q, rel_tol):
+        calls.append(q)
+        if len(calls) == 20:
+            raise NumericFailure("synthetic late radial failure")
+        return rows(profile, m, alpha, q, rel_tol)
+
+    monkeypatch.setattr(mgf, "_radial_mixture_rows", fail_late)
+    rc = main(["run", "--scenario", _write(tmp_path, _mgf_rim_raw()),
+               "--out", str(tmp_path / "o.csv"), "--method", "mgf"])
+    assert rc == 3
+    assert "synthetic late radial failure" in capsys.readouterr().err
+    assert 20 <= len(calls) <= 23

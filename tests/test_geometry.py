@@ -12,8 +12,9 @@ import pytest
 
 from finitenet import (InvalidParameterError, NakagamiChannel, Scenario,
                        disk_region, distance_profile, inside_arc_measure,
-                       make_fig2_region, make_regular_polygon,
-                       pdf_disk_closed_form, polygon_region, region_contains)
+                       make_fig2_region, make_regular_polygon, outage_mgf,
+                       outage_rlpg, pdf_disk_closed_form, polygon_region,
+                       region_contains, simulate_outage)
 from finitenet.quadrature import adaptive_quad
 
 from geometry_oracles import pdf_regular_polygon_center, segment_corner_pdf
@@ -103,6 +104,38 @@ def test_reference_point_validation():
     sq = make_regular_polygon(4, 1.0)
     assert region_contains(sq, (0.0, 0.0))
     assert not region_contains(sq, (1.0, 1.0))
+
+
+def _disk_scenario(**kw):
+    args = dict(region=disk_region((0, 0), 50.0), receiver=(10.0, 0.0),
+                r0=5.0, num_interferers=2, channel=NakagamiChannel(m0=1, m=1),
+                alpha=4.0, beta=1.0, rho0=100.0)
+    args.update(kw)
+    return Scenario(**args)
+
+
+def test_scenario_refuses_counts_no_engine_can_use():
+    for bad in (math.nan, math.inf, -1, 2.5, "2"):
+        with pytest.raises(InvalidParameterError, match="interferers"):
+            _disk_scenario(num_interferers=bad)
+    for count in (2.0, np.float64(2.0), np.int64(2)):
+        sc = _disk_scenario(num_interferers=count)
+        assert sc.num_interferers == 2 and type(sc.num_interferers) is int
+    # a float count reaches every engine as an int, Monte Carlo included
+    est = simulate_outage(_disk_scenario(num_interferers=2.0), 1000, seed=7)
+    assert est.outage_mean == simulate_outage(_disk_scenario(), 1000,
+                                              seed=7).outage_mean
+
+
+def test_scenario_refuses_non_finite_link_length_and_threshold():
+    for name in ("r0", "beta"):
+        for bad in (math.inf, math.nan, 0.0):
+            with pytest.raises(InvalidParameterError, match=name):
+                _disk_scenario(**{name: bad})
+    # an infinite SNR is the noiseless link, which both analytic engines take
+    sc = _disk_scenario(rho0=math.inf)
+    assert abs(outage_rlpg(sc).outage
+               - outage_mgf(sc, rel_tol=1e-8).outage) < 1e-6
 
 
 # ----- inside-arc measure -----

@@ -3,10 +3,12 @@ inner fading/distance expectations, and cross-checks against the
 integer-shape engine and Monte Carlo."""
 
 import math
+import threading
 
 import numpy as np
 import pytest
 
+import finitenet.mgf as mgf
 from finitenet import (EulerInversionParams, InvalidParameterError,
                        NakagamiChannel, NumericFailure, Scenario, disk_region,
                        distance_profile, euler_invert_cdf, make_fig2_region,
@@ -407,4 +409,139 @@ def test_radial_kernel_computes_each_batch_once_across_threads(monkeypatch):
     for i, res in enumerate(results):
         assert res is results[i % 20]
         assert np.array_equal(res, 2.0 * batches[i % 20])
+        assert not res.flags.writeable
+
+
+# ----- transform nodes on a thread pool, radial pdf per kernel -----
+
+def _pool_scenarios():
+    fig2 = make_fig2_region(100.0)
+    return [_scenario(disk_region((0, 0), 100.0), (100.0, 0.0), m0=1.5,
+                      m=2.5, alpha=4.0, r0=10.0, M=2),
+            _scenario(fig2, fig2.vertices[1], m0=1.5, m=2.5, alpha=4.0,
+                      r0=10.0, M=2)]
+
+
+def _count_outer_integrals(monkeypatch):
+    """Count outer integrals over the gain image (0, 1); every radial
+    integral of these scenarios runs over (0, r_max) with r_max >= 100."""
+    calls = []
+    quad = mgf.adaptive_rows_quad
+
+    def counted(f, a, b, **kwargs):
+        if (a, b) == (0.0, 1.0):
+            calls.append((a, b))
+        return quad(f, a, b, **kwargs)
+
+    monkeypatch.setattr(mgf, "adaptive_rows_quad", counted)
+    return calls
+
+
+def test_node_pool_width_changes_no_bit(monkeypatch):
+    outer = _count_outer_integrals(monkeypatch)
+    # A = 4 ln10 with B = 2 and C = 3 does not settle on its 6 nodes, so the
+    # retry samples the new nodes of the doubled (B, C) through the pool too
+    retried = EulerInversionParams(A=4.0 * LN10, B=2, C=3)
+    cases = [(sc, None) for sc in _pool_scenarios()]
+    cases.append((_pool_scenarios()[1], retried))
+    for sc, params in cases:
+        got = {}
+        for width in (1, 2, 4):
+            monkeypatch.setattr(mgf, "_NODE_WORKERS", width)
+            outer.clear()
+            got[width] = outage_mgf(sc, params=params, rel_tol=1e-6).outage
+            nodes = len(outer)
+            assert nodes == (26 if params is None else 21), nodes
+        assert got[1] == got[2] == got[4], got
+
+
+def test_failure_in_a_pool_node_stops_the_pool(monkeypatch):
+    width = 3
+    monkeypatch.setattr(mgf, "_NODE_WORKERS", width)
+    rows = mgf._radial_mixture_rows
+    calls = []
+    failing = 20   # the first node, run on this thread, computes fewer
+    state = {}
+
+    def fail_on_kth(profile, m, alpha, q, rel_tol):
+        calls.append(q.tobytes())
+        if len(calls) == failing:
+            state["thread"] = threading.current_thread()
+            raise NumericFailure("synthetic failure in a later node")
+        return rows(profile, m, alpha, q, rel_tol)
+
+    monkeypatch.setattr(mgf, "_radial_mixture_rows", fail_on_kth)
+    baseline = threading.active_count()
+    with pytest.raises(NumericFailure, match="synthetic failure in a later"):
+        outage_mgf(_pool_scenarios()[0], rel_tol=1e-6)
+    assert state["thread"] is not threading.main_thread()
+    assert len(calls) == len(set(calls))
+    assert len(calls) - failing <= 1 + width
+    assert threading.active_count() == baseline
+
+
+def test_radial_pdf_is_tabulated_once_per_abscissa_array(monkeypatch):
+    from dataclasses import replace
+
+    import finitenet.scenario as scenario_module
+    evaluated = []
+    profiles = []
+    build = scenario_module.distance_profile
+
+    def counting_profile(region, receiver):
+        prof = build(region, receiver)
+        profiles.append(prof)
+
+        def pdf(r):
+            evaluated.append(np.array(r))
+            return prof.pdf(r)
+
+        return replace(prof, pdf=pdf)
+
+    monkeypatch.setattr(scenario_module, "distance_profile",
+                        counting_profile)
+    # on one thread every array is computed once; threads that miss on the
+    # same array at once may each compute it (see the next test)
+    monkeypatch.setattr(mgf, "_NODE_WORKERS", 1)
+    sc = _pool_scenarios()[1]
+    kernel = radial_kernel(sc, rel_tol=1e-6)
+    outage_mgf(sc, rel_tol=1e-6, kernel=kernel)
+    keys = [(r.shape, r.tobytes()) for r in evaluated]
+    assert len(profiles) == 1 and evaluated
+    assert len(keys) == len(set(keys))
+    tabled = kernel._profile.pdf
+    for r in evaluated:
+        vals = tabled(r.copy())
+        assert vals is tabled(r)
+        assert not vals.flags.writeable
+        assert np.array_equal(vals, profiles[0].pdf(r))
+    # the lookups above were all answered from the table
+    assert len(evaluated) == len(keys)
+
+
+def test_radial_pdf_table_hands_every_thread_the_first_array():
+    import sys
+    import time
+    from concurrent.futures import ThreadPoolExecutor
+    prof = distance_profile(make_fig2_region(100.0), (60.0, 20.0))
+
+    def slow_pdf(r):
+        # a slow pdf lets several threads miss on the same array at once
+        time.sleep(1e-3)
+        return prof.pdf(r)
+
+    tabled = mgf._tabled_pdf(slow_pdf)
+    radii = [np.linspace(0.5 * k, prof.r_max, 60) for k in range(1, 21)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(tabled, radii[i % 20].copy())
+                       for i in range(400)]
+            results = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for i, res in enumerate(results):
+        assert res is results[i % 20]
+        assert np.array_equal(res, prof.pdf(radii[i % 20]))
         assert not res.flags.writeable

@@ -62,3 +62,32 @@ def test_disk_pdf_reaches_the_wrapped_closed_form():
              if name == "geometry.pdf.radii"]
     assert radii == [3, 1]
     assert [s[3] for s in tracer.spans].count("geometry.pdf") == 2
+
+
+def test_radial_spans_nest_in_outer_spans_on_pool_threads(monkeypatch):
+    # the benchmark tells outer from radial integrals by the quadrature depth
+    # on each thread; with the transform nodes on a pool every radial span
+    # must still sit inside the outer span of its own node
+    import finitenet.mgf as mgf
+    from finitenet import (NakagamiChannel, Scenario, disk_region,
+                           outage_mgf)
+
+    monkeypatch.setattr(mgf, "_NODE_WORKERS", 2)
+    sc = Scenario(region=disk_region((0.0, 0.0), 100.0),
+                  receiver=(100.0, 0.0), r0=10.0, num_interferers=2,
+                  channel=NakagamiChannel(m0=1.5, m=2.5), alpha=4.0,
+                  beta=1.0, rho0=100.0)
+    tracing = _tracing()
+    tracer = tracing.Tracer()
+    try:
+        tracing.install(tracer)
+        outage_mgf(sc, rel_tol=1e-8)
+    finally:
+        tracer.restore()
+    metrics = tracing.layer_metrics(tracer, 0.0, 0.0)
+    assert metrics["quadrature.outer.calls"] == 26
+    names = {sid: name for sid, _, _, name, _, _ in tracer.spans}
+    radial = [parent for _, parent, _, name, _, _ in tracer.spans
+              if name == "quadrature.radial"]
+    assert radial
+    assert all(names.get(parent) == "quadrature.outer" for parent in radial)
