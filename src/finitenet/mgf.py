@@ -9,8 +9,7 @@ node.
 
 import math
 import os
-import threading
-from concurrent.futures import FIRST_EXCEPTION, Future, ThreadPoolExecutor, wait
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -302,55 +301,25 @@ def radial_kernel(scenario, rel_tol=1e-10):
 
 
 # The transform nodes of one outage_mgf sample are integrated on a pool of
-# this many threads, one per CPU the process may run on; at 1 they run in a
-# plain loop. Each node's outer integral is self-contained and the radial
-# batches are memoised, so the width changes no number.
-_NODE_WORKERS = len(os.sched_getaffinity(0))
-
-
-class _Abandoned(Exception):
-    """Stops a node's outer integral once another node has failed."""
+# this many threads, one per CPU the process may run on. Each node's outer
+# integral is self-contained and the radial batches are memoised, so the
+# width changes no number.
+_NODE_WORKERS = (len(os.sched_getaffinity(0))
+                 if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
 
 
 def _sample_nodes(transform, svals):
-    """[transform(s, stop) for s in svals] as a complex array.
+    """[transform(s) for s in svals] as a complex array.
 
     The first node runs on the calling thread, so a failure there costs no
-    other node; the rest run on a pool of _NODE_WORKERS threads. ``stop``
-    is a threading.Event that is set once a node fails (or the caller is
-    interrupted): transform should then raise _Abandoned at its next
-    radial batch. The first exception is re-raised unchanged, after the
-    queued nodes are cancelled and the running ones have stopped.
+    other node; the rest run on a pool of _NODE_WORKERS threads. A failure
+    is re-raised unchanged in node order, as the plain loop would, and the
+    nodes still queued behind it are cancelled.
     """
-    stop = threading.Event()
     out = np.empty(svals.size, dtype=complex)
-    out[0] = transform(svals[0], stop)
-    if _NODE_WORKERS == 1:
-        for idx in range(1, svals.size):
-            out[idx] = transform(svals[idx], stop)
-        return out
-    failures = []
-
-    def guarded(s):
-        try:
-            return transform(s, stop)
-        except _Abandoned:
-            raise
-        except BaseException as exc:
-            failures.append(exc)
-            stop.set()
-            raise
-
-    pool = ThreadPoolExecutor(max_workers=_NODE_WORKERS)
-    futures = [pool.submit(guarded, s) for s in svals[1:]]
-    try:
-        wait(futures, return_when=FIRST_EXCEPTION)
-    finally:
-        stop.set()
-        pool.shutdown(cancel_futures=True)
-    if failures:
-        raise failures[0]
-    out[1:] = [f.result() for f in futures]
+    out[0] = transform(svals[0])
+    with ThreadPoolExecutor(max_workers=_NODE_WORKERS) as pool:
+        out[1:] = list(pool.map(transform, svals[1:]))
     return out
 
 
@@ -396,7 +365,7 @@ def outage_mgf(scenario, params=None, rel_tol=1e-10, *, kernel=None):
     lgamma_m0 = ln_gamma(m0)
     log_m0 = math.log(m0)
 
-    def transform(s, stop):
+    def transform(s):
 
         def grand(u):
             g0 = u / (1.0 - u)
@@ -404,8 +373,6 @@ def outage_mgf(scenario, params=None, rel_tol=1e-10, *, kernel=None):
                     - lgamma_m0 - 2.0 * np.log1p(-u))
             vals = np.exp(logw - s / (rho0 * g0))
             if num_interferers:
-                if stop.is_set():
-                    raise _Abandoned
                 q = (r0 ** alpha) * s / g0
                 inner = kernel.rows(q)
                 vals = vals * inner ** num_interferers

