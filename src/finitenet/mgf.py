@@ -8,12 +8,12 @@ node.
 """
 
 import math
-import os
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import scenario as _scenario
 from .errors import InvalidParameterError, NumericFailure
 from .quadrature import adaptive_rows_quad
 from .scenario import OutageResult
@@ -300,25 +300,19 @@ def radial_kernel(scenario, rel_tol=1e-10):
     return _RadialKernel(scenario, _inner_rel_tol(rel_tol))
 
 
-# The transform nodes of one outage_mgf sample are integrated on a pool of
-# this many threads, one per CPU the process may run on. Each node's outer
-# integral is self-contained and the radial batches are memoised, so the
-# width changes no number.
-_NODE_WORKERS = (len(os.sched_getaffinity(0))
-                 if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
-
-
 def _sample_nodes(transform, svals):
     """[transform(s) for s in svals] as a complex array.
 
     The first node runs on the calling thread, so a failure there costs no
-    other node; the rest run on a pool of _NODE_WORKERS threads. A failure
+    other node; the rest run on a pool of scenario._CPU_WORKERS threads, so
+    the width changes no number (each node's outer integral is
+    self-contained and the radial batches are memoised). A failure
     is re-raised unchanged in node order, as the plain loop would, and the
     nodes still queued behind it are cancelled.
     """
     out = np.empty(svals.size, dtype=complex)
     out[0] = transform(svals[0])
-    with ThreadPoolExecutor(max_workers=_NODE_WORKERS) as pool:
+    with ThreadPoolExecutor(max_workers=_scenario._CPU_WORKERS) as pool:
         out[1:] = list(pool.map(transform, svals[1:]))
     return out
 

@@ -7,15 +7,24 @@ run the chunks.
 """
 
 import math
+import numbers
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import scenario as _scenario
 from .errors import InvalidParameterError
 from .geometry import _as_xy
 
 CHUNK_TRIALS = 1 << 17
+
+# No more chunks compute at once in the whole process than there are CPUs,
+# whatever the pools and the callers' threads (a sweep runs several points
+# at once): each live chunk keeps one CPU busy and holds its own arrays of
+# positions and gains, n trials by M interferers.
+_LIVE_CHUNKS = threading.BoundedSemaphore(_scenario._CPU_WORKERS)
 
 
 @dataclass(frozen=True)
@@ -36,10 +45,32 @@ class EmpiricalCdf:
         return np.searchsorted(self.samples, x, side="right") / self.samples.size
 
 
+def _is_whole(x):
+    return isinstance(x, numbers.Integral) or (
+        isinstance(x, numbers.Real) and math.isfinite(x) and x == int(x))
+
+
+def _check_count(name, value):
+    if not (_is_whole(value) and value >= 1):
+        raise InvalidParameterError(
+            f"{name} must be a positive integer, got {value}")
+    return int(value)
+
+
 def _check_seed(seed):
-    if seed != int(seed) or not 0 <= int(seed) < 2 ** 64:
+    if not (_is_whole(seed) and 0 <= seed < 2 ** 64):
         raise InvalidParameterError(f"seed must be an integer in [0, 2^64), got {seed}")
     return int(seed)
+
+
+def _check_workers(workers):
+    if workers is None:
+        return _scenario._CPU_WORKERS
+    if not (isinstance(workers, numbers.Integral)
+            and not isinstance(workers, bool) and workers >= 1):
+        raise InvalidParameterError(
+            f"workers must be None or a positive integer, got {workers!r}")
+    return int(workers)
 
 
 def _rng_for_chunk(seed, chunk):
@@ -58,43 +89,83 @@ def _chunk_spans(trials):
     return spans
 
 
+def _map_chunks(chunk, trials, workers):
+    """[chunk(idx, n) for each chunk of `trials`], in chunk order, on a pool
+    of up to `workers` threads; at width 1 they run on the calling thread.
+    Every chunk body holds _LIVE_CHUNKS."""
+    spans = _chunk_spans(trials)
+    width = min(workers, len(spans))
+
+    def bounded(span):
+        with _LIVE_CHUNKS:
+            return chunk(*span)
+
+    if width == 1:
+        return [bounded(span) for span in spans]
+    with ThreadPoolExecutor(max_workers=width) as pool:
+        return list(pool.map(bounded, spans))
+
+
 def sample_uniform_in_region(region, rng, size=None):
     """Exactly uniform points: disk via sqrt-radius scaling, polygon via fan
     triangulation with area-weighted triangle choice and a barycentric flip
-    (no rejection, so the draw count per sample is fixed)."""
+    (no rejection, so the draw count per sample is fixed).
+
+    The result is the transpose of one (2, n) buffer, so each coordinate
+    column is contiguous; the coordinates are built in place with the same
+    floating-point operations, in the same order, as the plain formulas in
+    the comments."""
     n = 1 if size is None else int(size)
+    xy = np.empty((2, n))
     if region.kind == "disk":
-        r = region.radius * np.sqrt(rng.random(n))
-        ang = rng.random(n) * (2.0 * np.pi)
-        pts = np.column_stack([region.center[0] + r * np.cos(ang),
-                               region.center[1] + r * np.sin(ang)])
+        # center + radius * sqrt(U) * (cos, sin)(2 pi U')
+        r = rng.random(n)
+        np.sqrt(r, out=r)
+        r *= region.radius
+        ang = rng.random(n)
+        ang *= 2.0 * np.pi
+        for k, trig in enumerate((np.cos, np.sin)):
+            trig(ang, out=xy[k])
+            xy[k] *= r
+            xy[k] += region.center[k]
     else:
+        # a + u (b[pick] - a) + w (c[pick] - a) over the fan triangles
         v = region.vertices
         a = v[0]
-        b = v[1:-1]
-        c = v[2:]
-        areas = 0.5 * np.abs((b[:, 0] - a[0]) * (c[:, 1] - a[1])
-                             - (b[:, 1] - a[1]) * (c[:, 0] - a[0]))
+        ab = v[1:-1] - a
+        ac = v[2:] - a
+        areas = 0.5 * np.abs(ab[:, 0] * ac[:, 1] - ab[:, 1] * ac[:, 0])
         cum = np.cumsum(areas)
         pick = np.searchsorted(cum, rng.random(n) * cum[-1], side="right")
-        pick = np.minimum(pick, areas.size - 1)
+        np.minimum(pick, areas.size - 1, out=pick)
         u = rng.random(n)
         w = rng.random(n)
         flip = u + w > 1.0
-        u = np.where(flip, 1.0 - u, u)
-        w = np.where(flip, 1.0 - w, w)
-        pts = a + u[:, None] * (b[pick] - a) + w[:, None] * (c[pick] - a)
+        np.subtract(1.0, u, out=u, where=flip)
+        np.subtract(1.0, w, out=w, where=flip)
+        step = np.empty(n)
+        for k in range(2):
+            np.take(ab[:, k], pick, out=xy[k])
+            xy[k] *= u
+            xy[k] += a[k]
+            np.take(ac[:, k], pick, out=step)
+            step *= w
+            xy[k] += step
+    pts = xy.T
     return pts[0] if size is None else pts
 
 
 def simulate_outage(scenario, trials, seed, workers=None):
     """Estimate the outage probability from `trials` independent network
     realizations: per trial draw the interferer positions and all gains,
-    form the SINR and count threshold crossings."""
-    if trials != int(trials) or trials < 1:
-        raise InvalidParameterError(f"trials must be a positive integer, got {trials}")
+    form the SINR and count threshold crossings.
+
+    The trials run in chunks on a pool of `workers` threads, by default one
+    per CPU the process may use; the estimate is bit-identical for any
+    width."""
+    trials = _check_count("trials", trials)
     seed = _check_seed(seed)
-    trials = int(trials)
+    workers = _check_workers(workers)
     y0 = scenario.receiver
     m0 = scenario.channel.m0
     m = scenario.channel.m
@@ -109,23 +180,22 @@ def simulate_outage(scenario, trials, seed, workers=None):
         rng = _rng_for_chunk(seed, idx)
         g0 = rng.gamma(m0, 1.0 / m0, n)
         if num:
-            pts = sample_uniform_in_region(region, rng, size=n * num)
-            dist = np.hypot(pts[:, 0] - y0[0],
-                            pts[:, 1] - y0[1]).reshape(n, num)
+            # sum over interferers of gain * |x - y0|^-alpha, in place
+            dx, dy = sample_uniform_in_region(region, rng, size=n * num).T
+            dx -= y0[0]
+            dy -= y0[1]
+            dist = np.hypot(dx, dy, out=dx).reshape(n, num)
+            np.power(dist, -alpha, out=dist)
             gains = rng.gamma(m, 1.0 / m, (n, num))
-            agg = (gains * dist ** -alpha).sum(axis=1)
-            sinr = g0 / (noise + r0a * agg)
+            gains *= dist
+            sinr = g0 / (noise + r0a * gains.sum(axis=1))
         else:
-            sinr = g0 / noise
+            # a noiseless link (noise 0) never fails without interferers
+            with np.errstate(divide="ignore"):
+                sinr = g0 / noise
         return int(np.count_nonzero(sinr < beta))
 
-    spans = _chunk_spans(trials)
-    if workers is not None and workers > 1 and len(spans) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            counts = list(pool.map(lambda t: chunk_count(*t), spans))
-    else:
-        counts = [chunk_count(*t) for t in spans]
-    p = sum(counts) / trials
+    p = sum(_map_chunks(chunk_count, trials, workers)) / trials
     return McEstimate(outage_mean=p,
                       std_error=math.sqrt(p * (1.0 - p) / trials),
                       trials=trials, seed=seed)
@@ -133,13 +203,16 @@ def simulate_outage(scenario, trials, seed, workers=None):
 
 def simulate_distance_distribution(region, y0, samples, seed):
     """Empirical CDF of the distance from y0 to a uniform point."""
-    if samples != int(samples) or samples < 1:
-        raise InvalidParameterError(f"samples must be a positive integer, got {samples}")
+    samples = _check_count("samples", samples)
     seed = _check_seed(seed)
     ref = _as_xy(y0)
-    parts = []
-    for idx, n in _chunk_spans(int(samples)):
-        rng = _rng_for_chunk(seed, idx)
-        pts = sample_uniform_in_region(region, rng, size=n)
-        parts.append(np.hypot(pts[:, 0] - ref[0], pts[:, 1] - ref[1]))
+
+    def chunk_distances(idx, n):
+        dx, dy = sample_uniform_in_region(region, _rng_for_chunk(seed, idx),
+                                          size=n).T
+        dx -= ref[0]
+        dy -= ref[1]
+        return np.hypot(dx, dy, out=dx)
+
+    parts = _map_chunks(chunk_distances, samples, _scenario._CPU_WORKERS)
     return EmpiricalCdf(samples=np.sort(np.concatenate(parts)))

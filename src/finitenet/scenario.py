@@ -2,6 +2,7 @@
 
 import math
 import numbers
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -12,6 +13,13 @@ from .geometry import Region, distance_profile, region_contains
 
 ALPHA_MIN = 2.0
 ALPHA_MAX = 6.0
+
+# The width of the engines' thread pools (the mgf transform nodes and the
+# Monte Carlo chunks): one thread per CPU the process may run on. The pools
+# read it through this module when they start, so one setting moves both.
+# No width changes a number.
+_CPU_WORKERS = (len(os.sched_getaffinity(0))
+                if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
 
 
 @dataclass(frozen=True, eq=False)

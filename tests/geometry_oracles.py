@@ -1,8 +1,11 @@
-"""Distance-pdf oracles for the geometry tests.
+"""Oracles for the geometry and sampling tests.
 
-Both are independent of the arc-measure path that `distance_profile` uses:
-the regular-polygon-centre pdf is the textbook closed form, and the polygon
-pdf comes from a circular-segment / corner-overlap decomposition.
+The two distance pdfs are independent of the arc-measure path that
+`distance_profile` uses: the regular-polygon-centre pdf is the textbook
+closed form, and the polygon pdf comes from a circular-segment /
+corner-overlap decomposition. The uniform sampler is the plain-formula
+version of `sample_uniform_in_region`, which must reproduce it bit for bit
+and draw for draw.
 """
 
 import math
@@ -83,3 +86,30 @@ def segment_corner_pdf(region, y0, r):
     out[r > vdist.max()] = 0.0
     out[r < 0] = 0.0
     return out
+
+
+def sample_uniform_plain(region, rng, size=None):
+    """Uniform points from whole-array formulas and np.column_stack."""
+    n = 1 if size is None else int(size)
+    if region.kind == "disk":
+        r = region.radius * np.sqrt(rng.random(n))
+        ang = rng.random(n) * (2.0 * np.pi)
+        pts = np.column_stack([region.center[0] + r * np.cos(ang),
+                               region.center[1] + r * np.sin(ang)])
+    else:
+        v = region.vertices
+        a = v[0]
+        b = v[1:-1]
+        c = v[2:]
+        areas = 0.5 * np.abs((b[:, 0] - a[0]) * (c[:, 1] - a[1])
+                             - (b[:, 1] - a[1]) * (c[:, 0] - a[0]))
+        cum = np.cumsum(areas)
+        pick = np.searchsorted(cum, rng.random(n) * cum[-1], side="right")
+        pick = np.minimum(pick, areas.size - 1)
+        u = rng.random(n)
+        w = rng.random(n)
+        flip = u + w > 1.0
+        u = np.where(flip, 1.0 - u, u)
+        w = np.where(flip, 1.0 - w, w)
+        pts = a + u[:, None] * (b[pick] - a) + w[:, None] * (c[pick] - a)
+    return pts[0] if size is None else pts

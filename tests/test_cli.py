@@ -2,6 +2,8 @@
 
 import json
 import math
+import threading
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -9,6 +11,8 @@ import pytest
 
 import finitenet.cli as cli
 import finitenet.mgf as mgf
+import finitenet.montecarlo as montecarlo
+import finitenet.scenario as scenario_module
 from finitenet import (EulerInversionParams, NumericFailure,
                        ScenarioParseError, make_fig2_region, outage_mgf,
                        outage_rlpg)
@@ -604,7 +608,7 @@ def test_failure_in_shared_radial_batch_is_exit_three(tmp_path, capsys,
 def test_failure_in_a_later_transform_node_is_exit_three(tmp_path, capsys,
                                                          monkeypatch):
     # the 20th batch belongs to a node on the pool, past the first node
-    monkeypatch.setattr(mgf, "_NODE_WORKERS", 2)
+    monkeypatch.setattr(scenario_module, "_CPU_WORKERS", 2)
     rows = mgf._radial_mixture_rows
     calls = []
 
@@ -620,3 +624,54 @@ def test_failure_in_a_later_transform_node_is_exit_three(tmp_path, capsys,
     assert rc == 3
     assert "synthetic late radial failure" in capsys.readouterr().err
     assert len(calls) >= 20
+
+
+def _mc_raw(trials):
+    return _base_raw(M=2, method="mc", mc={"trials": trials, "seed": 3})
+
+
+def test_chunk_pool_width_changes_no_csv_byte(tmp_path, monkeypatch):
+    path = _write(tmp_path, _mc_raw(2 * montecarlo.CHUNK_TRIALS + 500))
+    outputs = {}
+    for width in (1, 2, 4):
+        monkeypatch.setattr(scenario_module, "_CPU_WORKERS", width)
+        run, sweep = tmp_path / f"run{width}.csv", tmp_path / f"sweep{width}.csv"
+        assert main(["run", "--scenario", path, "--out", str(run)]) == 0
+        assert main(["sweep", "--scenario", path, "--out", str(sweep),
+                     "--variable", "M", "--values", "1,2,3",
+                     "--method", "mc"]) == 0
+        outputs[width] = (run.read_bytes(), sweep.read_bytes())
+    assert outputs[1] == outputs[2] == outputs[4]
+
+
+def test_sweep_never_computes_more_chunks_at_once_than_the_width(
+        tmp_path, monkeypatch):
+    # a 4-point sweep runs its points on 4 threads and each point runs its
+    # chunks on a pool; the process-wide bound still holds the chunks that
+    # compute at once to the width
+    width = 2
+    monkeypatch.setattr(scenario_module, "_CPU_WORKERS", width)
+    monkeypatch.setattr(montecarlo, "_LIVE_CHUNKS",
+                        threading.BoundedSemaphore(width))
+    sample = montecarlo.sample_uniform_in_region
+    lock = threading.Lock()
+    live = []
+    peak = [0]
+
+    def counted(*args, **kwargs):
+        with lock:
+            live.append(1)
+            peak[0] = max(peak[0], len(live))
+        try:
+            time.sleep(0.02)   # long enough for the threads to overlap
+            return sample(*args, **kwargs)
+        finally:
+            with lock:
+                live.pop()
+
+    monkeypatch.setattr(montecarlo, "sample_uniform_in_region", counted)
+    path = _write(tmp_path, _mc_raw(montecarlo.CHUNK_TRIALS + 1))
+    assert main(["sweep", "--scenario", path, "--out", str(tmp_path / "o.csv"),
+                 "--variable", "M", "--values", "1,2,3,4",
+                 "--method", "mc"]) == 0
+    assert peak[0] == width

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import finitenet.mgf as mgf
+import finitenet.scenario as scenario_module
 from finitenet import (EulerInversionParams, InvalidParameterError,
                        NakagamiChannel, NumericFailure, Scenario, disk_region,
                        distance_profile, euler_invert_cdf, make_fig2_region,
@@ -447,7 +448,7 @@ def test_node_pool_width_changes_no_bit(monkeypatch):
     for sc, params in cases:
         got = {}
         for width in (1, 2, 4):
-            monkeypatch.setattr(mgf, "_NODE_WORKERS", width)
+            monkeypatch.setattr(scenario_module, "_CPU_WORKERS", width)
             outer.clear()
             got[width] = outage_mgf(sc, params=params, rel_tol=1e-6).outage
             nodes = len(outer)
@@ -457,7 +458,7 @@ def test_node_pool_width_changes_no_bit(monkeypatch):
 
 def test_failure_in_a_pool_node_stops_the_pool(monkeypatch):
     width = 3
-    monkeypatch.setattr(mgf, "_NODE_WORKERS", width)
+    monkeypatch.setattr(scenario_module, "_CPU_WORKERS", width)
     rows = mgf._radial_mixture_rows
     calls = []
     failing = 20   # the first node, run on this thread, computes fewer
@@ -487,7 +488,6 @@ def test_failure_in_a_pool_node_stops_the_pool(monkeypatch):
 def test_radial_pdf_is_tabulated_once_per_abscissa_array(monkeypatch):
     from dataclasses import replace
 
-    import finitenet.scenario as scenario_module
     evaluated = []
     profiles = []
     build = scenario_module.distance_profile
@@ -507,7 +507,7 @@ def test_radial_pdf_is_tabulated_once_per_abscissa_array(monkeypatch):
     # at width 1 the nodes run one at a time and every array is computed
     # once; threads that miss on the same array at once may each compute it
     # (see the next test)
-    monkeypatch.setattr(mgf, "_NODE_WORKERS", 1)
+    monkeypatch.setattr(scenario_module, "_CPU_WORKERS", 1)
     sc = _pool_scenarios()[1]
     kernel = radial_kernel(sc, rel_tol=1e-6)
     outage_mgf(sc, rel_tol=1e-6, kernel=kernel)

@@ -1,15 +1,21 @@
 """Simulation engine: exact-uniform sampling, SINR trials, determinism."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from finitenet import (InvalidParameterError, NakagamiChannel, Scenario,
                        disk_region, distance_profile, make_fig2_region,
                        make_regular_polygon, outage_rlpg,
                        sample_uniform_in_region,
                        simulate_distance_distribution, simulate_outage)
+
+from geometry_oracles import sample_uniform_plain
+from test_geometry_properties import polygons
 
 KS_CRIT_1PCT = 1.62762  # asymptotic one-sample Kolmogorov-Smirnov, alpha=0.01
 
@@ -142,6 +148,19 @@ def test_input_validation():
     with pytest.raises(InvalidParameterError):
         simulate_distance_distribution(disk_region((0, 0), 1.0), (0, 0),
                                        0, seed=1)
+    # non-finite sizes and seeds; workers is None or a positive int
+    for bad in ({"trials": math.nan}, {"trials": math.inf},
+                {"seed": math.nan}, {"seed": math.inf}, {"seed": -math.inf},
+                {"workers": 0}, {"workers": -3}, {"workers": 2.5},
+                {"workers": 2.0}, {"workers": True}, {"workers": "2"}):
+        kwargs = {"trials": 100, "seed": 1, **bad}
+        with pytest.raises(InvalidParameterError):
+            simulate_outage(sc, **kwargs)
+    for samples, seed in ((math.nan, 1), (math.inf, 1), (10, math.nan)):
+        with pytest.raises(InvalidParameterError):
+            simulate_distance_distribution(disk_region((0, 0), 1.0), (0, 0),
+                                           samples, seed)
+    assert simulate_outage(sc, 100, 1, workers=np.int64(2)).trials == 100
 
 
 def test_empirical_cdf_mechanics():
@@ -151,3 +170,40 @@ def test_empirical_cdf_mechanics():
     assert emp(0.0) == 0.0
     assert emp(10.0) == 1.0
     assert 0.2 < emp(5.0) < 0.3  # true value 0.25
+
+
+def test_noiseless_link_without_interferers_never_fails_silently():
+    sc = Scenario(region=disk_region((0, 0), 100.0), receiver=(0.0, 0.0),
+                  r0=5.0, num_interferers=0,
+                  channel=NakagamiChannel(m0=2.0, m=1.0), alpha=4.0,
+                  beta=1.0, rho0=math.inf)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est = simulate_outage(sc, 1000, seed=3)
+    assert est.outage_mean == 0.0
+
+
+def _assert_sampler_matches_plain_formulas(reg, seed):
+    for size in (None, 1, 7, 4099):
+        rng, plain_rng = (np.random.default_rng(seed) for _ in range(2))
+        got = sample_uniform_in_region(reg, rng, size=size)
+        want = sample_uniform_plain(reg, plain_rng, size=size)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+        # the same number of draws: the streams stay in step
+        assert rng.random() == plain_rng.random()
+
+
+def test_sampler_matches_plain_formulas():
+    for reg in (disk_region((0, 0), 100.0), disk_region((3.5, -7.25), 13.0),
+                make_regular_polygon(7, 50.0, center=(2.0, 1.0)),
+                make_fig2_region(100.0)):
+        _assert_sampler_matches_plain_formulas(reg, 17)
+        pts = sample_uniform_in_region(reg, np.random.default_rng(1), size=9)
+        assert pts[:, 0].flags.c_contiguous and pts[:, 1].flags.c_contiguous
+
+
+@settings(max_examples=30)
+@given(polygons(), st.integers(0, 2 ** 32 - 1))
+def test_sampler_matches_plain_formulas_on_convex_polygons(reg, seed):
+    _assert_sampler_matches_plain_formulas(reg, seed)

@@ -68,11 +68,11 @@ def test_radial_spans_nest_in_outer_spans_on_pool_threads(monkeypatch):
     # the benchmark tells outer from radial integrals by the quadrature depth
     # on each thread; with the transform nodes on a pool every radial span
     # must still sit inside the outer span of its own node
-    import finitenet.mgf as mgf
+    import finitenet.scenario as scenario_module
     from finitenet import (NakagamiChannel, Scenario, disk_region,
                            outage_mgf)
 
-    monkeypatch.setattr(mgf, "_NODE_WORKERS", 2)
+    monkeypatch.setattr(scenario_module, "_CPU_WORKERS", 2)
     sc = Scenario(region=disk_region((0.0, 0.0), 100.0),
                   receiver=(100.0, 0.0), r0=10.0, num_interferers=2,
                   channel=NakagamiChannel(m0=1.5, m=2.5), alpha=4.0,
@@ -91,3 +91,28 @@ def test_radial_spans_nest_in_outer_spans_on_pool_threads(monkeypatch):
               if name == "quadrature.radial"]
     assert radial
     assert all(names.get(parent) == "quadrature.outer" for parent in radial)
+
+
+def test_default_width_chunks_reach_the_wrapped_hooks(monkeypatch):
+    # the benchmark counts chunks by the wrapped montecarlo._rng_for_chunk and
+    # times the sampler by the wrapped sample_uniform_in_region; chunks on
+    # the default pool must still look both up as module attributes
+    import finitenet.scenario as scenario_module
+    from finitenet import (NakagamiChannel, Scenario, disk_region,
+                           montecarlo)
+
+    monkeypatch.setattr(scenario_module, "_CPU_WORKERS", 2)
+    sc = Scenario(region=disk_region((0.0, 0.0), 100.0),
+                  receiver=(25.0, 0.0), r0=5.0, num_interferers=1,
+                  channel=NakagamiChannel(m0=1.0, m=1.0), alpha=4.0,
+                  beta=1.0, rho0=100.0)
+    tracing = _tracing()
+    tracer = tracing.Tracer()
+    try:
+        tracing.install(tracer)
+        montecarlo.simulate_outage(sc, 2 * montecarlo.CHUNK_TRIALS + 1, 5)
+    finally:
+        tracer.restore()
+    metrics = tracing.layer_metrics(tracer, 0.0, 0.0)
+    assert metrics["montecarlo.chunks"] == 3
+    assert [s[3] for s in tracer.spans].count("montecarlo.sample_uniform") == 3
