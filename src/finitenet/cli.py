@@ -12,7 +12,6 @@ import hashlib
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -26,10 +25,13 @@ from .geometry import (disk_region, make_fig2_region, make_regular_polygon,
 from .mgf import EulerInversionParams, outage_mgf, radial_kernel
 from .montecarlo import simulate_outage
 from .rlpg import outage_rlpg, outage_rlpg_for_counts
-from .scenario import Scenario
+from .scenario import Scenario, _is_whole
 
 _MAXM_CAP = 100000
-_SWEEP_WORKERS = 4
+# Integer fields and M or L grid values stay within the integers a float
+# holds exactly; seeds may use all of Monte Carlo's [0, 2^64).
+_INT_MAX = 2 ** 53
+_SEED_MAX = 2 ** 64 - 1
 
 REGION_TYPES = ("disk", "regular_polygon", "polygon", "fig2")
 RECEIVER_MODES = ("coords", "center", "vertex_index", "edge_midpoint_index",
@@ -102,16 +104,22 @@ def _obj(val, path):
 def _num(val, path):
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         raise ScenarioParseError(f"field '{path}' must be a number, got {val!r}")
-    return float(val)
+    try:
+        return float(val)
+    except OverflowError:
+        raise ScenarioParseError(f"field '{path}' is out of range, got {val!r}")
 
 
-def _int(val, path, minimum=None):
-    x = _num(val, path)
-    if x != int(x):
+def _int(val, path, minimum=None, maximum=_INT_MAX):
+    """The exact integer in val: a JSON integer as it stands, or a float
+    with an integral value."""
+    if isinstance(val, bool) or not _is_whole(val):
         raise ScenarioParseError(f"field '{path}' must be an integer, got {val!r}")
-    n = int(x)
+    n = int(val)
     if minimum is not None and n < minimum:
         raise ScenarioParseError(f"field '{path}' must be >= {minimum}, got {n}")
+    if n > maximum:
+        raise ScenarioParseError(f"field '{path}' must be <= {maximum}, got {n}")
     return n
 
 
@@ -132,6 +140,8 @@ def load_scenario(path):
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ScenarioParseError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}")
+    except ValueError as exc:   # an integer literal past Python's digit limit
+        raise ScenarioParseError(f"{path}: {exc}")
     if not isinstance(raw, dict):
         raise ScenarioParseError(f"{path}: top level must be an object")
     return raw
@@ -265,7 +275,8 @@ def parse_scenario_config(raw):
         inversion=_parse_inversion(raw),
         quadrature_rel_tol=rel_tol,
         mc_trials=_int(mc.get("trials", 1000000), "mc.trials", minimum=1),
-        mc_seed=_int(mc.get("seed", 0), "mc.seed", minimum=0),
+        mc_seed=_int(mc.get("seed", 0), "mc.seed", minimum=0,
+                     maximum=_SEED_MAX),
         density=None if density is None else _num(density, "density"),
     )
 
@@ -457,6 +468,8 @@ def parse_grid(text, variable):
             count = int(parts[2])
         except ValueError:
             raise ScenarioParseError(f"malformed grid {text!r}")
+        if not (math.isfinite(start) and math.isfinite(stop)):
+            raise ScenarioParseError(f"grid bounds must be finite, got {text!r}")
         if count < 1:
             raise ScenarioParseError(f"grid count must be >= 1, got {count}")
         values = [start] if count == 1 else \
@@ -467,20 +480,27 @@ def parse_grid(text, variable):
         except ValueError:
             raise ScenarioParseError(f"malformed grid {text!r}")
     if variable in ("M", "L"):
-        out = []
         for v in values:
-            if v != int(v):
+            if not (v.is_integer() and abs(v) <= _INT_MAX):
                 raise ScenarioParseError(
-                    f"sweep variable '{variable}' needs integer values, got {v}")
-            out.append(int(v))
-        return out
+                    f"sweep variable '{variable}' needs integer values of "
+                    f"at most {_INT_MAX} in size, got {v}")
+        return [int(v) for v in values]
     return values
 
 
 def sweep_rows(cfg, variable, values, methods):
-    """Evaluate every grid point with every engine; rows come back in grid
-    order regardless of scheduling. The mgf points of a sweep over M or
-    snr_db, which leave the radial kernel unchanged, share one."""
+    """Evaluate every grid point with every engine, one point after another
+    on the calling thread; the engines' own pools (the mgf transform nodes,
+    the Monte Carlo chunks) are the only parallel work, so a sweep computes
+    on no more threads than there are CPUs. Rows come back in grid order.
+    The mgf points of a sweep over M or snr_db, which leave the radial
+    kernel unchanged, share one; its batches fill in grid order."""
+    kernel = None
+    if values and "mgf" in methods and variable in ("M", "snr_db"):
+        first = apply_sweep_value(cfg, variable, values[0])
+        kernel = radial_kernel(build_scenario(first), _mgf_rel_tol(first))
+
     def eval_point(value):
         point = apply_sweep_value(cfg, variable, value)
         sc = build_scenario(point)
@@ -495,14 +515,7 @@ def sweep_rows(cfg, variable, values, methods):
             row.append(std)
         return row
 
-    if not values:
-        return []
-    kernel = None
-    if "mgf" in methods and variable in ("M", "snr_db"):
-        first = apply_sweep_value(cfg, variable, values[0])
-        kernel = radial_kernel(build_scenario(first), _mgf_rel_tol(first))
-    with ThreadPoolExecutor(max_workers=min(_SWEEP_WORKERS, len(values))) as pool:
-        return list(pool.map(eval_point, values))
+    return [eval_point(value) for value in values]
 
 
 # ----- interferer-count search -----

@@ -17,13 +17,15 @@ import numpy as np
 from . import scenario as _scenario
 from .errors import InvalidParameterError
 from .geometry import _as_xy
+from .scenario import _is_whole
 
 CHUNK_TRIALS = 1 << 17
 
 # No more chunks compute at once in the whole process than there are CPUs,
-# whatever the pools and the callers' threads (a sweep runs several points
-# at once): each live chunk keeps one CPU busy and holds its own arrays of
-# positions and gains, n trials by M interferers.
+# whatever the pools and the callers' threads (the CLI runs one estimate at
+# a time, but a library caller may run several simulate_outage calls from
+# threads of its own): each live chunk keeps one CPU busy and holds its own
+# arrays of positions and gains, n trials by M interferers.
 _LIVE_CHUNKS = threading.BoundedSemaphore(_scenario._CPU_WORKERS)
 
 
@@ -43,11 +45,6 @@ class EmpiricalCdf:
 
     def __call__(self, x):
         return np.searchsorted(self.samples, x, side="right") / self.samples.size
-
-
-def _is_whole(x):
-    return isinstance(x, numbers.Integral) or (
-        isinstance(x, numbers.Real) and math.isfinite(x) and x == int(x))
 
 
 def _check_count(name, value):

@@ -115,12 +115,3 @@ def adaptive_rows_quad(f, a, b, *, breakpoints=(), rel_tol=1e-10, abs_tol=0.0,
         vals = np.concatenate([vals[:, ~split], new_vals], axis=1)
         errs = np.concatenate([errs[:, ~split], new_errs], axis=1)
 
-
-def adaptive_quad(f, a, b, *, breakpoints=(), rel_tol=1e-10, abs_tol=0.0,
-                  max_panels=4096):
-    """Scalar convenience wrapper: one row, returns (integral, error_estimate)."""
-    vals, errs = adaptive_rows_quad(
-        lambda x: np.asarray(f(x))[None, :], a, b,
-        breakpoints=breakpoints, rel_tol=rel_tol, abs_tol=abs_tol,
-        max_panels=max_panels)
-    return vals[0], errs[0]

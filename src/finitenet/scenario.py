@@ -21,6 +21,17 @@ ALPHA_MAX = 6.0
 _CPU_WORKERS = (len(os.sched_getaffinity(0))
                 if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
 
+# The largest interferer count: every integer up to it is exactly a float,
+# which is how the engines carry M.
+MAX_INTERFERERS = 2 ** 53
+
+
+def _is_whole(x):
+    """x is an integer, or a finite float with an integral value. Integers
+    are tested first, so one too large for a float is still whole."""
+    return isinstance(x, numbers.Integral) or (
+        isinstance(x, numbers.Real) and math.isfinite(x) and x == int(x))
+
 
 @dataclass(frozen=True, eq=False)
 class Scenario:
@@ -30,8 +41,8 @@ class Scenario:
     receiver: receiver coordinates inside the closed region; validated once
         here and stored as a read-only float array of shape (2,).
     r0: reference-transmitter distance (the intended link length), finite.
-    num_interferers: number of uniformly placed interfering nodes; any
-        integral value is stored as a Python int.
+    num_interferers: number of uniformly placed interfering nodes, at most
+        MAX_INTERFERERS; any integral value is stored as a Python int.
     channel: Nakagami shapes for the reference and interferer links.
     alpha: path-loss exponent in [2, 6].
     beta: SINR threshold, linear scale, finite.
@@ -60,11 +71,10 @@ class Scenario:
         if not self.rho0 > 0:
             raise InvalidParameterError(f"rho0 must be positive, got {self.rho0}")
         count = self.num_interferers
-        if not (isinstance(count, numbers.Real) and math.isfinite(count)
-                and count >= 0 and count == int(count)):
+        if not (_is_whole(count) and 0 <= count <= MAX_INTERFERERS):
             raise InvalidParameterError(
-                f"number of interferers must be an integer >= 0, "
-                f"got {count}")
+                f"number of interferers must be an integer in "
+                f"[0, {MAX_INTERFERERS}], got {count}")
         object.__setattr__(self, "num_interferers", int(count))
         xy = np.array(self.receiver, dtype=float).reshape(2)
         if not region_contains(self.region, xy):

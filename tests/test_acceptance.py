@@ -20,7 +20,8 @@ from finitenet import (NakagamiChannel, Scenario, disk_region,
                        outage_rlpg_for_counts, simulate_outage)
 from finitenet.cli import (build_scenario, emit_csv,
                            max_supported_interferers, parse_scenario_config)
-from finitenet.quadrature import adaptive_quad
+
+from scalar_quad import adaptive_quad
 
 D_GRID = (0.0, 25.0, 50.0, 75.0, 100.0)
 ALPHA_GRID = (2.0, 3.0, 4.0, 6.0)

@@ -11,7 +11,8 @@ from finitenet import (InvalidParameterError, ModelInconsistencyError,
                        nakagami_as_general_cdf, nakagami_power_gain_pdf,
                        nakagami_reference_cdf)
 from finitenet.channel import integer_shape
-from finitenet.quadrature import adaptive_quad
+
+from scalar_quad import adaptive_quad
 
 
 def test_pdf_rayleigh_values():

@@ -117,6 +117,85 @@ def test_inversion_parsing():
         parse_scenario_config(_base_raw(inversion={"zeta": 8, "A": 1.0}))
 
 
+_FIG2 = {"type": "fig2", "params": {"width": 100.0}}
+
+# every integer field of a scenario file: a scenario file holding value v
+# there, and where the parsed config keeps it
+_INTEGER_FIELDS = {
+    "M": (lambda v: _base_raw(M=v), lambda cfg: cfg.num_interferers),
+    "region.params.num_sides": (
+        lambda v: _base_raw(region={"type": "regular_polygon",
+                                    "params": {"num_sides": v,
+                                               "circumradius": 50.0}},
+                            receiver={"mode": "center"}),
+        lambda cfg: cfg.region_params["num_sides"]),
+    "receiver.index": (
+        lambda v: _base_raw(region=_FIG2,
+                            receiver={"mode": "vertex_index", "index": v}),
+        lambda cfg: cfg.receiver_params["index"]),
+    "inversion.B": (
+        lambda v: _base_raw(inversion={"A": 18.4, "B": v, "C": 14}),
+        lambda cfg: cfg.inversion.B),
+    "inversion.C": (
+        lambda v: _base_raw(inversion={"A": 18.4, "B": 11, "C": v}),
+        lambda cfg: cfg.inversion.C),
+    "mc.trials": (lambda v: _base_raw(mc={"trials": v}),
+                  lambda cfg: cfg.mc_trials),
+    "mc.seed": (lambda v: _base_raw(mc={"seed": v}), lambda cfg: cfg.mc_seed),
+}
+
+
+def test_integer_fields_refuse_non_finite_and_huge_values(tmp_path, capsys):
+    # 1e400 decodes to inf; a 400-digit integer is no float at all
+    path = tmp_path / "scen.json"
+    for field, (raw_with, _) in _INTEGER_FIELDS.items():
+        for literal in ("NaN", "Infinity", "-Infinity", "1e400", "9" * 400,
+                        "2.5"):
+            path.write_text(json.dumps(raw_with("@")).replace('"@"', literal),
+                            encoding="utf-8")
+            rc = main(["run", "--scenario", str(path),
+                       "--out", str(tmp_path / "o.csv"), "--method", "rlpg"])
+            assert rc == 2, (field, literal)
+            assert f"'{field}'" in capsys.readouterr().err, (field, literal)
+    # an integer literal past Python's digit limit is a parse error too
+    path.write_text(json.dumps(_base_raw(M="@")).replace('"@"', "9" * 5000),
+                    encoding="utf-8")
+    assert main(["run", "--scenario", str(path),
+                 "--out", str(tmp_path / "o.csv")]) == 2
+    assert "scen.json" in capsys.readouterr().err
+
+
+def test_integer_fields_keep_json_integers_exact(tmp_path):
+    for field, (raw_with, held) in _INTEGER_FIELDS.items():
+        for value in (4, 4.0):
+            kept = held(parse_scenario_config(raw_with(value)))
+            assert kept == 4 and type(kept) is int, field
+    # 2^53 + 1 is no float; as a seed it stays itself, so it draws
+    # another estimate than 2^53
+    big = 2 ** 53 + 1
+    assert parse_scenario_config(_base_raw(mc={"seed": big})).mc_seed == big
+    outputs = []
+    for seed in (2 ** 53, big):
+        out = tmp_path / f"seed{seed}.csv"
+        path = _write(tmp_path, _base_raw(M=2, mc={"trials": 4000,
+                                                   "seed": seed}))
+        assert main(["run", "--scenario", path, "--out", str(out),
+                     "--method", "mc"]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] != outputs[1]
+    # seeds span Monte Carlo's [0, 2^64); the other fields stop at 2^53
+    top = 2 ** 64 - 1
+    assert parse_scenario_config(_base_raw(mc={"seed": top})).mc_seed == top
+    with pytest.raises(ScenarioParseError, match="'mc.seed'"):
+        parse_scenario_config(_base_raw(mc={"seed": top + 1}))
+    assert parse_scenario_config(_base_raw(M=2 ** 53)).num_interferers \
+        == 2 ** 53
+    for field, (raw_with, _) in _INTEGER_FIELDS.items():
+        if field != "mc.seed":
+            with pytest.raises(ScenarioParseError, match=f"'{field}'"):
+                parse_scenario_config(raw_with(big))
+
+
 # ----- receiver resolution -----
 
 def test_receiver_modes_resolve_to_expected_points():
@@ -359,6 +438,28 @@ def test_parse_grid_syntaxes():
         parse_grid("1.5,2", "M")
 
 
+def test_integer_grids_refuse_non_finite_and_huge_values(tmp_path, capsys):
+    for variable in ("M", "L"):
+        for bad in ("nan", "inf", "-inf", "1,nan", "1e300", "0:1e300:2"):
+            with pytest.raises(ScenarioParseError, match="integer"):
+                parse_grid(bad, variable)
+    for variable in ("M", "d"):
+        with pytest.raises(ScenarioParseError, match="finite"):
+            parse_grid("0:inf:2", variable)
+        assert parse_grid(f"3,{2 ** 53}", variable) == [3, 2 ** 53]
+    hexagon = _base_raw(region={"type": "regular_polygon",
+                                "params": {"num_sides": 6,
+                                           "circumradius": 50.0}},
+                        receiver={"mode": "center"})
+    for variable, raw in (("M", _base_raw()), ("L", hexagon)):
+        for bad in ("nan", "inf"):
+            rc = main(["sweep", "--scenario", _write(tmp_path, raw),
+                       "--out", str(tmp_path / "o.csv"),
+                       "--variable", variable, "--values", bad])
+            assert rc == 2, (variable, bad)
+            assert f"'{variable}'" in capsys.readouterr().err
+
+
 def test_apply_sweep_value_variants():
     cfg = parse_scenario_config(_base_raw())
     moved = apply_sweep_value(cfg, "d", 30.0)
@@ -588,8 +689,8 @@ def test_mgf_snr_sweep_computes_each_radial_batch_once(monkeypatch):
 def test_failure_in_shared_radial_batch_is_exit_three(tmp_path, capsys,
                                                       monkeypatch):
     # every point of the sweep asks first for the same batch (the first
-    # Bromwich node on the initial panels); its one computation fails, and
-    # the failure reaches every point waiting on it
+    # Bromwich node on the initial panels); its one computation fails on
+    # the first point, and the sweep stops there
     calls = []
 
     def boom(profile, m, alpha, q, rel_tol):
@@ -646,9 +747,10 @@ def test_chunk_pool_width_changes_no_csv_byte(tmp_path, monkeypatch):
 
 def test_sweep_never_computes_more_chunks_at_once_than_the_width(
         tmp_path, monkeypatch):
-    # a 4-point sweep runs its points on 4 threads and each point runs its
-    # chunks on a pool; the process-wide bound still holds the chunks that
-    # compute at once to the width
+    # a sweep runs its points one after another and each point runs its
+    # chunks on a pool of the width; the process-wide bound, which also
+    # covers callers that run estimates from threads of their own, holds
+    # the chunks that compute at once to the width
     width = 2
     monkeypatch.setattr(scenario_module, "_CPU_WORKERS", width)
     monkeypatch.setattr(montecarlo, "_LIVE_CHUNKS",
@@ -675,3 +777,68 @@ def test_sweep_never_computes_more_chunks_at_once_than_the_width(
                  "--variable", "M", "--values", "1,2,3,4",
                  "--method", "mc"]) == 0
     assert peak[0] == width
+
+
+def test_sweep_runs_no_more_radial_integrals_at_once_than_the_width(
+        tmp_path, monkeypatch):
+    # a sweep evaluates its points in order on the calling thread, so the
+    # only parallel work is each point's own transform-node pool
+    width = 2
+    monkeypatch.setattr(scenario_module, "_CPU_WORKERS", width)
+    rows = mgf._radial_mixture_rows
+    lock = threading.Lock()
+    live = [0]
+    peak = [0]
+
+    def counted(profile, m, alpha, q, rel_tol):
+        with lock:
+            live[0] += 1
+            peak[0] = max(peak[0], live[0])
+        try:
+            time.sleep(0.001)   # long enough for the threads to overlap
+            return rows(profile, m, alpha, q, rel_tol)
+        finally:
+            with lock:
+                live[0] -= 1
+
+    monkeypatch.setattr(mgf, "_radial_mixture_rows", counted)
+    assert main(["sweep", "--scenario", _write(tmp_path, _mgf_rim_raw()),
+                 "--out", str(tmp_path / "o.csv"), "--variable", "d",
+                 "--values", "40,60,80,100", "--method", "mgf"]) == 0
+    assert peak[0] == width
+
+
+def _run_cells(tmp_path, raw, method):
+    """scenario, outage and std_error cells of `run --method method`."""
+    out = tmp_path / "point.csv"
+    assert main(["run", "--scenario", _write(tmp_path, raw, "point.json"),
+                 "--out", str(out), "--method", method]) == 0
+    row = dict(zip(RUN_HEADER, _read_csv(str(out))[1]))
+    return row["scenario"], row["outage"], row["std_error"]
+
+
+def test_sweep_rows_equal_per_point_runs(tmp_path):
+    cases = (
+        (_mgf_rim_raw(), "snr_db", ("10", "30"), ("mgf",)),
+        (_mc_raw(montecarlo.CHUNK_TRIALS + 500), "d", ("0", "50", "100"),
+         ("rlpg", "mc")),
+    )
+    for raw, variable, values, methods in cases:
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--scenario", _write(tmp_path, raw),
+                     "--out", str(out), "--variable", variable,
+                     "--values", ",".join(values),
+                     "--method", ",".join(methods)]) == 0
+        rows = _read_csv(str(out))[1:]
+        assert [row[1] for row in rows] == list(values)
+        for row, value in zip(rows, values):
+            if variable == "d":
+                point = dict(raw, receiver={"mode": "disk_offset_d",
+                                            "d": float(value)})
+            else:
+                point = dict(raw, **{variable: float(value)})
+            cells = [_run_cells(tmp_path, point, m) for m in methods]
+            expected = [cells[0][0], value] + [c[1] for c in cells]
+            if "mc" in methods:
+                expected.append(cells[methods.index("mc")][2])
+            assert row == expected, (variable, value)

@@ -15,9 +15,9 @@ from finitenet import (InvalidParameterError, NakagamiChannel, Scenario,
                        make_fig2_region, make_regular_polygon, outage_mgf,
                        outage_rlpg, pdf_disk_closed_form, polygon_region,
                        region_contains, simulate_outage)
-from finitenet.quadrature import adaptive_quad
 
 from geometry_oracles import pdf_regular_polygon_center, segment_corner_pdf
+from scalar_quad import adaptive_quad
 
 TWO_PI = 2.0 * math.pi
 
@@ -125,6 +125,15 @@ def test_scenario_refuses_counts_no_engine_can_use():
     est = simulate_outage(_disk_scenario(num_interferers=2.0), 1000, seed=7)
     assert est.outage_mean == simulate_outage(_disk_scenario(), 1000,
                                               seed=7).outage_mean
+
+
+def test_scenario_refuses_counts_a_float_cannot_hold():
+    # an integer past float range is refused, not an OverflowError, and so
+    # is any count above 2^53, where floats skip integers
+    for bad in (10 ** 400, -10 ** 400, 2 ** 53 + 1, np.uint64(2 ** 63), 1e300):
+        with pytest.raises(InvalidParameterError, match="interferers"):
+            _disk_scenario(num_interferers=bad)
+    assert _disk_scenario(num_interferers=2 ** 53).num_interferers == 2 ** 53
 
 
 def test_scenario_refuses_non_finite_link_length_and_threshold():

@@ -13,9 +13,10 @@ from finitenet import (NakagamiChannel, NumericFailure, Scenario, disk_region,
                        distance_profile, nakagami_as_general_cdf,
                        outage_general_family, outage_rlpg,
                        outage_rlpg_for_counts, polygon_region, rlpg)
-from finitenet.quadrature import adaptive_quad, adaptive_rows_quad
+from finitenet.quadrature import adaptive_rows_quad
 
 from geometry_oracles import segment_corner_pdf
+from scalar_quad import adaptive_quad
 
 TWO_PI = 2.0 * math.pi
 

@@ -16,8 +16,9 @@ from finitenet import (EulerInversionParams, InvalidParameterError,
                        nakagami_power_gain_pdf, outage_mgf, outage_rlpg,
                        radial_kernel, simulate_outage)
 from finitenet.mgf import _radial_mixture_rows, phi_closed_form
-from finitenet.quadrature import adaptive_quad
 from scipy import special as sp
+
+from scalar_quad import adaptive_quad
 
 LN10 = math.log(10.0)
 

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from finitenet import NumericFailure
-from finitenet.quadrature import adaptive_quad, adaptive_rows_quad
+from finitenet.quadrature import adaptive_rows_quad
+
+from scalar_quad import adaptive_quad
 
 
 def test_exponential_integral():

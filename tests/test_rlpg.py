@@ -17,8 +17,9 @@ from finitenet import (InvalidParameterError, NakagamiChannel, NumericFailure,
                        outage_general_family, outage_mgf, outage_rlpg,
                        outage_rlpg_for_counts, sample_uniform_in_region,
                        simulate_outage)
-from finitenet.quadrature import adaptive_quad
 from finitenet.rlpg import _clamp_unit, _constant_piece, _omega_values
+
+from scalar_quad import adaptive_quad
 
 
 def _scenario(region, receiver, m0, m, alpha=3.0, r0=5.0, M=10, beta=1.0,
