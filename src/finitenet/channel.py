@@ -5,7 +5,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special as _sp
 
 from .errors import (InvalidParameterError, ModelInconsistencyError,
                      UnsupportedModelError)
@@ -75,6 +74,7 @@ def nakagami_reference_cdf(m0, x):
     """CDF of the reference power gain: regularized lower gamma P(m0, m0 x)."""
     if m0 < 0.5:
         raise InvalidParameterError(f"shape must be >= 0.5, got {m0}")
+    from scipy import special as _sp
     x_arr = np.asarray(x, dtype=float)
     return _sp.gammainc(m0, m0 * np.clip(x_arr, 0.0, None))
 

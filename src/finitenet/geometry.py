@@ -194,22 +194,38 @@ def _disk_arc_measure(W, d, r):
 
 def _polygon_arc_measure(p, phi, r_max, r):
     """theta at the radii of the 1-d array r, from the side frames (p, phi)
-    of a reference point whose farthest vertex lies at r_max."""
+    of a reference point whose farthest vertex lies at r_max.
+
+    Side i leaves an outside arc of half-width arccos(p_i/r) about phi_i,
+    none while r <= p_i (the ratio clips to 1 and arccos(1) is +0.0). Arcs
+    that wrap past 2*pi are split at 0, and the union is measured in one
+    sweep over the arcs sorted by start."""
+    n, L = r.size, p.size
     rs = np.maximum(r, 1e-300)
-    ratio = np.clip(p[None, :] / rs[:, None], -1.0, 1.0)
-    w = np.arccos(ratio)
-    w[rs[:, None] <= p[None, :]] = 0.0
-    s = np.mod(phi[None, :] - w, TWO_PI)
-    e = s + 2.0 * w
-    starts = np.concatenate([s, np.zeros_like(s)], axis=1)
-    ends = np.concatenate([np.minimum(e, TWO_PI),
-                           np.clip(e - TWO_PI, 0.0, None)], axis=1)
+    # arccos runs on a fresh contiguous array, as in the plain formulas, so
+    # both take the same numpy loop and agree to the last bit
+    w = p[None, :] / rs[:, None]
+    np.minimum(w, 1.0, out=w)
+    np.arccos(w, out=w)
+    starts = np.zeros((n, 2 * L))
+    ends = np.empty((n, 2 * L))
+    s = starts[:, :L]
+    np.subtract(phi, w, out=s)
+    np.mod(s, TWO_PI, out=s)
+    e = np.add(s, 2.0 * w, out=w)
+    np.minimum(e, TWO_PI, out=ends[:, :L])
+    np.subtract(e, TWO_PI, out=ends[:, L:])
+    np.maximum(ends[:, L:], 0.0, out=ends[:, L:])
+    rows = np.arange(n)[:, None]
     order = np.argsort(starts, axis=1, kind="stable")
-    starts = np.take_along_axis(starts, order, axis=1)
-    ends = np.take_along_axis(ends, order, axis=1)
-    run = np.maximum.accumulate(ends, axis=1)
-    prev = np.concatenate([np.zeros((rs.size, 1)), run[:, :-1]], axis=1)
-    covered = np.clip(ends - np.maximum(starts, prev), 0.0, None).sum(axis=1)
+    starts = starts[rows, order]
+    ends = ends[rows, order]
+    # each arc counts from the furthest end among the arcs before it
+    gap = np.zeros((n, 2 * L))
+    np.maximum.accumulate(ends[:, :-1], axis=1, out=gap[:, 1:])
+    np.maximum(starts, gap, out=gap)
+    np.subtract(ends, gap, out=gap)
+    covered = np.maximum(gap, 0.0, out=gap).sum(axis=1)
     theta = np.clip(TWO_PI - covered, 0.0, TWO_PI)
     theta[r > r_max] = 0.0
     theta[r < 0.0] = 0.0

@@ -28,16 +28,23 @@ _OMEGA_REL_TOL = 1e-11
 _RLPG_ABS_ERROR = 1e-9
 
 
-def _kernel_rows(r, ts, m, alpha, c):
-    """Gamma-averaged moment kernel, one row per exponent t.
+def _kernel_lead(ts, m):
+    """log(Gamma(m+t)/Gamma(m) m^m) for each exponent t, as a column: the
+    part of the kernel's logarithm that does not depend on r."""
+    lg = np.array([ln_gamma(m + t) - ln_gamma(m) for t in ts])[:, None]
+    return lg + m * math.log(m)
+
+
+def _kernel_rows(r, ts, lead, m, alpha, c):
+    """Gamma-averaged moment kernel, one row per exponent t, with lead from
+    _kernel_lead(ts, m).
 
     Log-space form of Gamma(m+t)/Gamma(m) m^m r^{alpha m} (m r^alpha + c)
     ^{-(m+t)}; the raw r^{-alpha t} form is hostile near r=0.
     """
     rrow = r[None, :]
     tcol = ts[:, None]
-    lg = np.array([ln_gamma(m + t) - ln_gamma(m) for t in ts])[:, None]
-    logw = (lg + m * math.log(m) + alpha * m * np.log(rrow)
+    logw = (lead + alpha * m * np.log(rrow)
             - (m + tcol) * np.log(m * rrow ** alpha + c))
     return np.exp(logw)
 
@@ -62,8 +69,11 @@ def _constant_piece(theta, lo, hi, t, m, alpha, c, area):
         return (_psi_core(theta, hi, t, m, alpha, c, area)
                 - _psi_core(theta, lo, t, m, alpha, c, area))
     except NumericFailure:
+        ts = np.array([t])
+        lead = _kernel_lead(ts, m)
+
         def rows(r):
-            return (_kernel_rows(r, np.array([t]), m, alpha, c)
+            return (_kernel_rows(r, ts, lead, m, alpha, c)
                     * (theta * r / area)[None, :])
 
         vals, _ = adaptive_rows_quad(rows, lo, hi, rel_tol=_OMEGA_REL_TOL)
@@ -87,8 +97,11 @@ def _omega_values(profile, ts, m, alpha, c):
                                         profile.area)
         lo = b
     if lo < profile.r_max:
+        lead = _kernel_lead(ts, m)
+
         def rows(r):
-            return _kernel_rows(r, ts, m, alpha, c) * profile.pdf(r)[None, :]
+            return (_kernel_rows(r, ts, lead, m, alpha, c)
+                    * profile.pdf(r)[None, :])
 
         inner = [x for x in profile.breakpoints[:-1] if x > lo]
         vals, _ = adaptive_rows_quad(rows, lo, profile.r_max,

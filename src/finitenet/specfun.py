@@ -5,8 +5,6 @@ import threading
 from collections import Counter
 from dataclasses import dataclass
 
-from scipy import special as _sp
-
 from .errors import InvalidParameterError, NumericFailure
 
 _SERIES_MAX_TERMS = 5000
@@ -42,6 +40,7 @@ def _series_2f1(a, b, c, z):
 
 def _inverse_z_2f1(a, b, c, z):
     """DLMF 15.8.2 continuation in 1/z; needs b-a away from the integers."""
+    from scipy import special as _sp
     iz = 1.0 / z
     coef1 = _sp.gamma(c) * _sp.gamma(b - a) * _sp.rgamma(b) * _sp.rgamma(c - a)
     coef2 = _sp.gamma(c) * _sp.gamma(a - b) * _sp.rgamma(a) * _sp.rgamma(c - b)

@@ -3,9 +3,10 @@
 The two distance pdfs are independent of the arc-measure path that
 `distance_profile` uses: the regular-polygon-centre pdf is the textbook
 closed form, and the polygon pdf comes from a circular-segment /
-corner-overlap decomposition. The uniform sampler is the plain-formula
-version of `sample_uniform_in_region`, which must reproduce it bit for bit
-and draw for draw.
+corner-overlap decomposition. The arc measure and the uniform sampler are
+the plain-formula versions of `geometry._polygon_arc_measure` and
+`sample_uniform_in_region`, which must reproduce them bit for bit (and the
+sampler draw for draw).
 """
 
 import math
@@ -86,6 +87,31 @@ def segment_corner_pdf(region, y0, r):
     out[r > vdist.max()] = 0.0
     out[r < 0] = 0.0
     return out
+
+
+def polygon_arc_measure_plain(p, phi, r_max, r):
+    """theta at the radii of the 1-d array r, from the side frames (p, phi)
+    of a reference point whose farthest vertex lies at r_max: one fresh
+    array per step, with the masked store and take_along_axis gathers."""
+    rs = np.maximum(r, 1e-300)
+    ratio = np.clip(p[None, :] / rs[:, None], -1.0, 1.0)
+    w = np.arccos(ratio)
+    w[rs[:, None] <= p[None, :]] = 0.0
+    s = np.mod(phi[None, :] - w, TWO_PI)
+    e = s + 2.0 * w
+    starts = np.concatenate([s, np.zeros_like(s)], axis=1)
+    ends = np.concatenate([np.minimum(e, TWO_PI),
+                           np.clip(e - TWO_PI, 0.0, None)], axis=1)
+    order = np.argsort(starts, axis=1, kind="stable")
+    starts = np.take_along_axis(starts, order, axis=1)
+    ends = np.take_along_axis(ends, order, axis=1)
+    run = np.maximum.accumulate(ends, axis=1)
+    prev = np.concatenate([np.zeros((rs.size, 1)), run[:, :-1]], axis=1)
+    covered = np.clip(ends - np.maximum(starts, prev), 0.0, None).sum(axis=1)
+    theta = np.clip(TWO_PI - covered, 0.0, TWO_PI)
+    theta[r > r_max] = 0.0
+    theta[r < 0.0] = 0.0
+    return theta
 
 
 def sample_uniform_plain(region, rng, size=None):

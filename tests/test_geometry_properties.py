@@ -1,6 +1,7 @@
 """Property tests of the polygon distance law over random strictly convex
 polygons, with receivers in the interior, on an edge and at a vertex, of
-the series engine's moments against an all-quadrature oracle, and of its
+its arc measure against the plain-formula version bit for bit, of the
+series engine's moments against an all-quadrature oracle, and of its
 outage against the exponential-polynomial family on the same law."""
 
 import math
@@ -10,12 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finitenet import (NakagamiChannel, NumericFailure, Scenario, disk_region,
-                       distance_profile, nakagami_as_general_cdf,
+                       distance_profile, geometry, nakagami_as_general_cdf,
                        outage_general_family, outage_rlpg,
                        outage_rlpg_for_counts, polygon_region, rlpg)
 from finitenet.quadrature import adaptive_rows_quad
 
-from geometry_oracles import segment_corner_pdf
+from geometry_oracles import polygon_arc_measure_plain, segment_corner_pdf
 from scalar_quad import adaptive_quad
 
 TWO_PI = 2.0 * math.pi
@@ -113,11 +114,32 @@ def test_vertex_receiver_profile(case):
     _check_profile(*case)
 
 
+@settings(max_examples=150)
+@given(st.sampled_from(["interior", "edge", "vertex"])
+       .flatmap(polygon_and_receiver))
+def test_arc_measure_matches_plain_formulas_bit_for_bit(case):
+    # every side and vertex distance is a radius where an arc opens or two
+    # arcs meet; 0, -0.0, r_max and the radii outside the support are the
+    # edge cases of the masks
+    reg, y0 = case
+    _, _, p, phi, vdist = geometry._side_frames(reg, geometry._as_xy(y0))
+    r_max = float(vdist.max())
+    r = np.concatenate([np.linspace(0.0, r_max, 129), p, vdist,
+                        [0.0, -0.0, r_max, np.nextafter(r_max, np.inf),
+                         1.5 * r_max, -1.0]])
+    got = geometry._polygon_arc_measure(p, phi, r_max, r)
+    want = polygon_arc_measure_plain(p, phi, r_max, r)
+    assert got.tobytes() == want.tobytes()
+
+
 def _omega_by_quadrature(prof, ts, m, alpha, c):
     """Oracle for rlpg._omega_values with no closed form: the same kernel
     against the pdf over all of [0, r_max], split at every breakpoint."""
+    lead = rlpg._kernel_lead(ts, m)
+
     def rows(r):
-        return rlpg._kernel_rows(r, ts, m, alpha, c) * prof.pdf(r)[None, :]
+        return (rlpg._kernel_rows(r, ts, lead, m, alpha, c)
+                * prof.pdf(r)[None, :])
 
     vals, _ = adaptive_rows_quad(rows, 0.0, prof.r_max,
                                  breakpoints=prof.breakpoints, rel_tol=1e-13)
