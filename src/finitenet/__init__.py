@@ -29,8 +29,7 @@ from .geometry import (DistanceProfile, Region, disk_region, distance_profile,
                        polygon_region, region_contains)
 from .mgf import (EulerInversionParams, euler_invert_cdf, outage_mgf,
                   radial_kernel)
-from .montecarlo import (EmpiricalCdf, McEstimate, sample_uniform_in_region,
-                         simulate_distance_distribution, simulate_outage)
+from .montecarlo import McEstimate, sample_uniform_in_region, simulate_outage
 from .rlpg import (omega_expectation_table, outage_disk_center,
                    outage_general_family, outage_rlpg, outage_rlpg_for_counts)
 from .scenario import OutageResult, Scenario
@@ -40,7 +39,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DistanceProfile",
-    "EmpiricalCdf",
     "EulerInversionParams",
     "GeneralFadingCdf",
     "InvalidParameterError",
@@ -78,6 +76,5 @@ __all__ = [
     "radial_kernel",
     "region_contains",
     "sample_uniform_in_region",
-    "simulate_distance_distribution",
     "simulate_outage",
 ]

@@ -2,6 +2,7 @@
 CDF family that the reference-link-power framework accepts."""
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -11,6 +12,11 @@ from .errors import (InvalidParameterError, ModelInconsistencyError,
 
 _CDF_CLAMP = 1e-14
 _INTEGER_TOL = 1e-9
+
+# The largest whole-number input (an interferer count, a series order, a
+# power): every integer up to it is exactly a float, which is how the
+# engines carry them.
+MAX_WHOLE = 2 ** 53
 
 
 @dataclass(frozen=True)
@@ -102,6 +108,16 @@ def integer_shape(x):
     return None
 
 
+def _is_whole(x):
+    """x is an integer, or a finite float with an integral value. Integers
+    are tested first, so one too large for a float is still whole.
+
+    The one rule for "is this input a whole number": interferer counts,
+    series orders, powers, sample sizes and seeds all use it."""
+    return isinstance(x, numbers.Integral) or (
+        isinstance(x, numbers.Real) and math.isfinite(x) and x == int(x))
+
+
 def nakagami_terms(m0):
     """(k, m0**k / k!) for k < m0, the polynomial of the integer-shape
     reference CDF P(m0, m0 g) = 1 - e^(-m0 g) sum_k a_k g^k. Integer powers
@@ -120,8 +136,9 @@ def general_fading_cdf(terms, check_grid=None):
         if rate is None:
             raise ModelInconsistencyError(
                 f"decay rate must be a positive integer, got {n}")
-        if k != int(k) or k < 0:
-            raise ModelInconsistencyError(f"power must be integer >= 0, got {k}")
+        if not (_is_whole(k) and 0 <= k <= MAX_WHOLE):
+            raise ModelInconsistencyError(
+                f"power must be an integer in [0, {MAX_WHOLE}], got {k}")
         cleaned.append((float(rate), int(k), float(a)))
     cdf = GeneralFadingCdf(terms=tuple(cleaned))
     if check_grid is None:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .baselines import outage_ppp_rayleigh
-from .channel import NakagamiChannel, integer_shape
+from .channel import MAX_WHOLE, NakagamiChannel, _is_whole, integer_shape
 from .errors import (InvalidParameterError, ModelInconsistencyError,
                      NumericFailure, ScenarioParseError, UnsupportedModelError)
 from .geometry import (disk_region, make_fig2_region, make_regular_polygon,
@@ -25,12 +25,11 @@ from .geometry import (disk_region, make_fig2_region, make_regular_polygon,
 from .mgf import EulerInversionParams, outage_mgf, radial_kernel
 from .montecarlo import simulate_outage
 from .rlpg import outage_rlpg, outage_rlpg_for_counts
-from .scenario import Scenario, _is_whole
+from .scenario import Scenario
 
 _MAXM_CAP = 100000
-# Integer fields and M or L grid values stay within the integers a float
-# holds exactly; seeds may use all of Monte Carlo's [0, 2^64).
-_INT_MAX = 2 ** 53
+# Integer fields and M or L grid values stay within MAX_WHOLE; seeds may use
+# all of Monte Carlo's [0, 2^64).
 _SEED_MAX = 2 ** 64 - 1
 
 REGION_TYPES = ("disk", "regular_polygon", "polygon", "fig2")
@@ -110,7 +109,7 @@ def _num(val, path):
         raise ScenarioParseError(f"field '{path}' is out of range, got {val!r}")
 
 
-def _int(val, path, minimum=None, maximum=_INT_MAX):
+def _int(val, path, minimum=None, maximum=MAX_WHOLE):
     """The exact integer in val: a JSON integer as it stands, or a float
     with an integral value."""
     if isinstance(val, bool) or not _is_whole(val):
@@ -481,10 +480,10 @@ def parse_grid(text, variable):
             raise ScenarioParseError(f"malformed grid {text!r}")
     if variable in ("M", "L"):
         for v in values:
-            if not (v.is_integer() and abs(v) <= _INT_MAX):
+            if not (v.is_integer() and abs(v) <= MAX_WHOLE):
                 raise ScenarioParseError(
                     f"sweep variable '{variable}' needs integer values of "
-                    f"at most {_INT_MAX} in size, got {v}")
+                    f"at most {MAX_WHOLE} in size, got {v}")
         return [int(v) for v in values]
     return values
 
@@ -495,15 +494,15 @@ def sweep_rows(cfg, variable, values, methods):
     the Monte Carlo chunks) are the only parallel work, so a sweep computes
     on no more threads than there are CPUs. Rows come back in grid order.
     The mgf points of a sweep over M or snr_db, which leave the radial
-    kernel unchanged, share one; its batches fill in grid order."""
+    kernel unchanged, share the first point's; it fills in grid order."""
+    shared = "mgf" in methods and variable in ("M", "snr_db")
     kernel = None
-    if values and "mgf" in methods and variable in ("M", "snr_db"):
-        first = apply_sweep_value(cfg, variable, values[0])
-        kernel = radial_kernel(build_scenario(first), _mgf_rel_tol(first))
-
-    def eval_point(value):
+    rows = []
+    for value in values:
         point = apply_sweep_value(cfg, variable, value)
         sc = build_scenario(point)
+        if shared and kernel is None:
+            kernel = radial_kernel(sc, _mgf_rel_tol(point))
         row = [scenario_fingerprint(point, sc), value]
         std = None
         for meth in methods:
@@ -513,9 +512,8 @@ def sweep_rows(cfg, variable, values, methods):
                 std = err
         if "mc" in methods:
             row.append(std)
-        return row
-
-    return [eval_point(value) for value in values]
+        rows.append(row)
+    return rows
 
 
 # ----- interferer-count search -----

@@ -5,8 +5,8 @@ point y0 in the closed region, the distance R from y0 to a uniformly
 distributed node has density f_R(r) = r * theta(r) / |A|, where theta(r) is
 the angular measure of directions phi with y0 + r*(cos phi, sin phi) still
 inside the region. For polygons theta is computed as 2*pi minus the measure
-of the union of per-side "outside" arcs; the CDF comes from exact clipping of
-the circle against the region, so pdf and cdf are independent code paths.
+of the union of per-side "outside" arcs. Both engines read the law only
+through this pdf (and its constant-angle pieces).
 """
 
 import math
@@ -40,7 +40,7 @@ class DistanceProfile:
     """Distance law from a reference point to a uniform node in the region.
 
     breakpoints: sorted radii where the pdf changes analytic form, ending
-        with r_max. pdf/cdf/arc_measure take a scalar or an array of radii;
+        with r_max. pdf/arc_measure take a scalar or an array of radii;
         the pdf is r * arc_measure(r) / area.
     constant_arc_pieces: (lo, hi, theta) for the consecutive breakpoint
         intervals [0, b1], [b1, b2], ... up to the contact radius, the
@@ -55,7 +55,6 @@ class DistanceProfile:
     breakpoints: tuple
     area: float
     pdf: object
-    cdf: object
     arc_measure: object
     constant_arc_pieces: tuple
 
@@ -232,68 +231,6 @@ def _polygon_arc_measure(p, phi, r_max, r):
     return theta
 
 
-# ----- exact circle clipping (CDF path) -----
-
-def _disk_overlap_area(W, d, r):
-    """Area of disk(0, r) overlapped with disk at distance d and radius W."""
-    r = np.asarray(r, dtype=float)
-    out = np.empty(r.shape)
-    full_small = r <= max(W - d, 0.0)
-    full_big = r >= W + d
-    out[full_small] = np.pi * r[full_small] ** 2
-    out[full_big] = np.pi * W * W
-    mid = ~(full_small | full_big)
-    if np.any(mid):
-        rm = np.maximum(r[mid], 1e-300)
-        a1 = np.arccos(np.clip((d * d + rm * rm - W * W) / (2 * d * rm), -1, 1))
-        a2 = np.arccos(np.clip((d * d + W * W - rm * rm) / (2 * d * W), -1, 1))
-        s = np.clip((-d + rm + W) * (d + rm - W) * (d - rm + W) * (d + rm + W),
-                    0.0, None)
-        out[mid] = rm * rm * a1 + W * W * a2 - 0.5 * np.sqrt(s)
-    return out
-
-
-def _signed_angle(x0, y0_, x1, y1):
-    """Signed angle from (x0, y0_) to (x1, y1), wrapped to (-pi, pi]."""
-    return np.arctan2(x0 * y1 - y0_ * x1, x0 * x1 + y0_ * y1)
-
-
-def _polygon_clip_area(v_rel, r):
-    """Area of polygon (vertices relative to the circle center) within radius r.
-
-    Vectorized over r; Green's-theorem accumulation per edge with the pieces
-    outside the circle replaced by arcs.
-    """
-    r = np.asarray(r, dtype=float)[:, None]        # (n, 1)
-    a = v_rel[None, :, :]                          # (1, L, 2)
-    b = np.roll(v_rel, -1, axis=0)[None, :, :]
-    e = b - a
-    ee = (e * e).sum(axis=2)
-    ae = (a * e).sum(axis=2)
-    aa = (a * a).sum(axis=2)
-    disc = ae * ae - ee * (aa - r * r)             # (n, L)
-    sq = np.sqrt(np.clip(disc, 0.0, None))
-    t1 = np.clip((-ae - sq) / ee, 0.0, 1.0)
-    t2 = np.clip((-ae + sq) / ee, 0.0, 1.0)
-    t2 = np.maximum(t2, t1)
-    no_hit = disc <= 0.0
-    t1 = np.where(no_hit, 0.0, t1)
-    t2 = np.where(no_hit, 0.0, t2)
-
-    def point(t):
-        return a + t[..., None] * e                # (n, L, 2)
-
-    p0, p1c, p2c, p3 = a + 0 * r[..., None], point(t1), point(t2), b + 0 * r[..., None]
-    # inside chord piece [t1, t2]
-    inner = 0.5 * (p1c[..., 0] * p2c[..., 1] - p1c[..., 1] * p2c[..., 0])
-    # outside pieces [0, t1] and [t2, 1] sweep arcs
-    arc1 = 0.5 * r ** 2 * _signed_angle(
-        p0[..., 0], p0[..., 1], p1c[..., 0], p1c[..., 1])
-    arc2 = 0.5 * r ** 2 * _signed_angle(
-        p2c[..., 0], p2c[..., 1], p3[..., 0], p3[..., 1])
-    return (inner + arc1 + arc2).sum(axis=1)
-
-
 # ----- closed-form disk pdf -----
 
 def pdf_disk_closed_form(W, d, r):
@@ -371,7 +308,8 @@ def _constant_prefix(breaks, contact, tol, arc_measure):
 
 
 def distance_profile(region, y0):
-    """Build the distance law (pdf, cdf, breakpoints) for a reference point."""
+    """Build the distance law (pdf, arc measure, breakpoints) for a
+    reference point."""
     y = _as_xy(y0)
     if not region_contains(region, y):
         raise InvalidParameterError(
@@ -390,12 +328,6 @@ def distance_profile(region, y0):
 
         def pdf(r):
             return pdf_disk_closed_form(W, d, r)
-
-        def cdf(r):
-            out = np.clip(_disk_overlap_area(W, d, np.maximum(r, 0.0)) / area,
-                          0.0, 1.0)
-            out[r <= 0] = 0.0
-            return out
 
         # the circle stays inside the disk up to the rim's nearest point
         contact = W - d
@@ -419,18 +351,6 @@ def distance_profile(region, y0):
             out[r < 0] = 0.0
             return out
 
-        def cdf(r):
-            out = np.empty(r.shape)
-            big = r >= r_max
-            small = r <= 0
-            mid = ~(big | small)
-            out[big] = 1.0
-            out[small] = 0.0
-            if np.any(mid):
-                out[mid] = np.clip(_polygon_clip_area(v, r[mid]) / area,
-                                   0.0, 1.0)
-            return out
-
         # Below the contact radius the circle meets only sides through y0,
         # whose outside arcs keep a half-width of pi/2, so theta is constant
         # there; beyond it theta decreases. The contact radius is itself a
@@ -439,7 +359,7 @@ def distance_profile(region, y0):
 
     return DistanceProfile(
         r_max=r_max, breakpoints=tuple(breaks), area=area,
-        pdf=_scalar_or_array(pdf), cdf=_scalar_or_array(cdf),
+        pdf=_scalar_or_array(pdf),
         arc_measure=_scalar_or_array(arc_measure),
         constant_arc_pieces=_constant_prefix(breaks, contact, tol,
                                              arc_measure))

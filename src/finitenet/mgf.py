@@ -14,6 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import scenario as _scenario
+from .channel import MAX_WHOLE, _is_whole
 from .errors import InvalidParameterError, NumericFailure
 from .quadrature import adaptive_rows_quad
 from .scenario import OutageResult
@@ -58,9 +59,9 @@ class EulerInversionParams:
                 f"discretization parameter must be positive, got {self.A}")
         for name in ("B", "C"):
             v = getattr(self, name)
-            if v != int(v) or v < 1:
+            if not (_is_whole(v) and 1 <= v <= MAX_WHOLE):
                 raise InvalidParameterError(
-                    f"{name} must be a positive integer, got {v}")
+                    f"{name} must be an integer in [1, {MAX_WHOLE}], got {v}")
             object.__setattr__(self, name, int(v))
 
     @classmethod

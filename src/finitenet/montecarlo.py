@@ -15,9 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import scenario as _scenario
+from .channel import _is_whole
 from .errors import InvalidParameterError
-from .geometry import _as_xy
-from .scenario import _is_whole
 
 CHUNK_TRIALS = 1 << 17
 
@@ -38,20 +37,11 @@ class McEstimate:
     seed: int
 
 
-@dataclass(frozen=True, eq=False)
-class EmpiricalCdf:
-    """Right-continuous step CDF from sorted samples."""
-    samples: np.ndarray
-
-    def __call__(self, x):
-        return np.searchsorted(self.samples, x, side="right") / self.samples.size
-
-
-def _check_count(name, value):
-    if not (_is_whole(value) and value >= 1):
+def _check_trials(trials):
+    if not (_is_whole(trials) and trials >= 1):
         raise InvalidParameterError(
-            f"{name} must be a positive integer, got {value}")
-    return int(value)
+            f"trials must be a positive integer, got {trials}")
+    return int(trials)
 
 
 def _check_seed(seed):
@@ -75,15 +65,9 @@ def _rng_for_chunk(seed, chunk):
 
 
 def _chunk_spans(trials):
-    spans = []
-    done = 0
-    idx = 0
-    while done < trials:
-        n = min(CHUNK_TRIALS, trials - done)
-        spans.append((idx, n))
-        done += n
-        idx += 1
-    return spans
+    """(chunk index, trials in the chunk) for each chunk of `trials`."""
+    return [(idx, min(CHUNK_TRIALS, trials - start))
+            for idx, start in enumerate(range(0, trials, CHUNK_TRIALS))]
 
 
 def _map_chunks(chunk, trials, workers):
@@ -160,7 +144,7 @@ def simulate_outage(scenario, trials, seed, workers=None):
     The trials run in chunks on a pool of `workers` threads, by default one
     per CPU the process may use; the estimate is bit-identical for any
     width."""
-    trials = _check_count("trials", trials)
+    trials = _check_trials(trials)
     seed = _check_seed(seed)
     workers = _check_workers(workers)
     y0 = scenario.receiver
@@ -196,20 +180,3 @@ def simulate_outage(scenario, trials, seed, workers=None):
     return McEstimate(outage_mean=p,
                       std_error=math.sqrt(p * (1.0 - p) / trials),
                       trials=trials, seed=seed)
-
-
-def simulate_distance_distribution(region, y0, samples, seed):
-    """Empirical CDF of the distance from y0 to a uniform point."""
-    samples = _check_count("samples", samples)
-    seed = _check_seed(seed)
-    ref = _as_xy(y0)
-
-    def chunk_distances(idx, n):
-        dx, dy = sample_uniform_in_region(region, _rng_for_chunk(seed, idx),
-                                          size=n).T
-        dx -= ref[0]
-        dy -= ref[1]
-        return np.hypot(dx, dy, out=dx)
-
-    parts = _map_chunks(chunk_distances, samples, _scenario._CPU_WORKERS)
-    return EmpiricalCdf(samples=np.sort(np.concatenate(parts)))

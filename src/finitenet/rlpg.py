@@ -13,11 +13,12 @@ import warnings
 
 import numpy as np
 
-from .channel import NakagamiChannel, integer_shape, nakagami_terms
+from .channel import (NakagamiChannel, _is_whole, integer_shape,
+                      nakagami_terms)
 from .errors import InvalidParameterError, NumericFailure, UnsupportedModelError
 from .geometry import disk_region
 from .quadrature import adaptive_rows_quad
-from .scenario import OutageResult, Scenario
+from .scenario import MAX_INTERFERERS, OutageResult, Scenario
 from .specfun import enumerate_weighted_partitions, gauss_2f1, ln_gamma
 
 _CLAMP_SLACK = 1e-9
@@ -147,8 +148,13 @@ def _interference_moment_sums(values, num_interferers, max_j):
             prod = 1.0
             for t in term.parts:
                 prod *= values[t]
-            s += (term.arrangement_count * term.multinomial_weight * prod
-                  * e0 ** (num_interferers - len(term.parts)))
+            try:
+                s += (term.arrangement_count * term.multinomial_weight * prod
+                      * e0 ** (num_interferers - len(term.parts)))
+            except OverflowError:
+                raise NumericFailure(
+                    f"placement counts over {num_interferers} interferers "
+                    "exceed the float range") from None
         out.append(s)
     return out
 
@@ -202,9 +208,10 @@ def outage_rlpg_for_counts(scenario, counts):
     ba = scenario.beta * scenario.r0 ** scenario.alpha
     out = []
     for num in counts:
-        if num != int(num) or num < 0:
+        if not (_is_whole(num) and 0 <= num <= MAX_INTERFERERS):
             raise InvalidParameterError(
-                f"interferer count must be integer >= 0, got {num}")
+                f"interferer count must be an integer in "
+                f"[0, {MAX_INTERFERERS}], got {num}")
         raw = 1.0 - _tilted_average(table, int(num), m0, terms, br, ba)
         out.append(_clamp_unit(raw, "outage assembly"))
     return out

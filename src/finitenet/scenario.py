@@ -1,13 +1,12 @@
 """Scenario and result containers shared by the outage methods."""
 
 import math
-import numbers
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import NakagamiChannel
+from .channel import MAX_WHOLE, NakagamiChannel, _is_whole
 from .errors import InvalidParameterError
 from .geometry import Region, distance_profile, region_contains
 
@@ -21,16 +20,8 @@ ALPHA_MAX = 6.0
 _CPU_WORKERS = (len(os.sched_getaffinity(0))
                 if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
 
-# The largest interferer count: every integer up to it is exactly a float,
-# which is how the engines carry M.
-MAX_INTERFERERS = 2 ** 53
-
-
-def _is_whole(x):
-    """x is an integer, or a finite float with an integral value. Integers
-    are tested first, so one too large for a float is still whole."""
-    return isinstance(x, numbers.Integral) or (
-        isinstance(x, numbers.Real) and math.isfinite(x) and x == int(x))
+# The largest interferer count: the engines carry M as a float.
+MAX_INTERFERERS = MAX_WHOLE
 
 
 @dataclass(frozen=True, eq=False)

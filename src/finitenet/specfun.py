@@ -141,7 +141,7 @@ def enumerate_weighted_partitions(j, num_nodes):
         k = len(parts)
         if k > num_nodes:
             continue
-        arrangements = math.factorial(num_nodes) // math.factorial(num_nodes - k)
+        arrangements = math.perm(num_nodes, k)
         for mult in Counter(parts).values():
             arrangements //= math.factorial(mult)
         weight = math.factorial(j)

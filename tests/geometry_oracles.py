@@ -1,12 +1,13 @@
 """Oracles for the geometry and sampling tests.
 
-The two distance pdfs are independent of the arc-measure path that
-`distance_profile` uses: the regular-polygon-centre pdf is the textbook
-closed form, and the polygon pdf comes from a circular-segment /
-corner-overlap decomposition. The arc measure and the uniform sampler are
-the plain-formula versions of `geometry._polygon_arc_measure` and
-`sample_uniform_in_region`, which must reproduce them bit for bit (and the
-sampler draw for draw).
+The two distance pdfs and the distance cdf are independent of the
+arc-measure path that `distance_profile` uses: the regular-polygon-centre
+pdf is the textbook closed form, the polygon pdf comes from a
+circular-segment / corner-overlap decomposition, and the cdf from exact
+clipping of the circle against the region. The arc measure and the uniform
+sampler are the plain-formula versions of `geometry._polygon_arc_measure`
+and `sample_uniform_in_region`, which must reproduce them bit for bit (and
+the sampler draw for draw).
 """
 
 import math
@@ -14,7 +15,96 @@ import math
 import numpy as np
 
 from finitenet.errors import InvalidParameterError
-from finitenet.geometry import TWO_PI, _as_xy, _side_frames, region_contains
+from finitenet.geometry import (TWO_PI, _as_xy, _disk_offset, _side_frames,
+                                region_contains)
+
+
+def _disk_overlap_area(W, d, r):
+    """Area of disk(0, r) overlapped with disk at distance d and radius W."""
+    r = np.asarray(r, dtype=float)
+    out = np.empty(r.shape)
+    full_small = r <= max(W - d, 0.0)
+    full_big = r >= W + d
+    out[full_small] = np.pi * r[full_small] ** 2
+    out[full_big] = np.pi * W * W
+    mid = ~(full_small | full_big)
+    if np.any(mid):
+        rm = np.maximum(r[mid], 1e-300)
+        a1 = np.arccos(np.clip((d * d + rm * rm - W * W) / (2 * d * rm), -1, 1))
+        a2 = np.arccos(np.clip((d * d + W * W - rm * rm) / (2 * d * W), -1, 1))
+        s = np.clip((-d + rm + W) * (d + rm - W) * (d - rm + W) * (d + rm + W),
+                    0.0, None)
+        out[mid] = rm * rm * a1 + W * W * a2 - 0.5 * np.sqrt(s)
+    return out
+
+
+def _signed_angle(x0, y0_, x1, y1):
+    """Signed angle from (x0, y0_) to (x1, y1), wrapped to (-pi, pi]."""
+    return np.arctan2(x0 * y1 - y0_ * x1, x0 * x1 + y0_ * y1)
+
+
+def _polygon_clip_area(v_rel, r):
+    """Area of polygon (vertices relative to the circle center) within radius r.
+
+    Vectorized over r; Green's-theorem accumulation per edge with the pieces
+    outside the circle replaced by arcs.
+    """
+    r = np.asarray(r, dtype=float)[:, None]        # (n, 1)
+    a = v_rel[None, :, :]                          # (1, L, 2)
+    b = np.roll(v_rel, -1, axis=0)[None, :, :]
+    e = b - a
+    ee = (e * e).sum(axis=2)
+    ae = (a * e).sum(axis=2)
+    aa = (a * a).sum(axis=2)
+    disc = ae * ae - ee * (aa - r * r)             # (n, L)
+    sq = np.sqrt(np.clip(disc, 0.0, None))
+    t1 = np.clip((-ae - sq) / ee, 0.0, 1.0)
+    t2 = np.clip((-ae + sq) / ee, 0.0, 1.0)
+    t2 = np.maximum(t2, t1)
+    no_hit = disc <= 0.0
+    t1 = np.where(no_hit, 0.0, t1)
+    t2 = np.where(no_hit, 0.0, t2)
+
+    def point(t):
+        return a + t[..., None] * e                # (n, L, 2)
+
+    p0, p1c, p2c, p3 = a + 0 * r[..., None], point(t1), point(t2), b + 0 * r[..., None]
+    # inside chord piece [t1, t2]
+    inner = 0.5 * (p1c[..., 0] * p2c[..., 1] - p1c[..., 1] * p2c[..., 0])
+    # outside pieces [0, t1] and [t2, 1] sweep arcs
+    arc1 = 0.5 * r ** 2 * _signed_angle(
+        p0[..., 0], p0[..., 1], p1c[..., 0], p1c[..., 1])
+    arc2 = 0.5 * r ** 2 * _signed_angle(
+        p2c[..., 0], p2c[..., 1], p3[..., 0], p3[..., 1])
+    return (inner + arc1 + arc2).sum(axis=1)
+
+
+def clip_cdf(region, y0, r):
+    """P(R <= r) for the distance R from y0 to a uniform point of the
+    region: the area of the region within radius r of y0, over its area.
+    Takes a scalar or an array of radii and returns a float for a scalar."""
+    y = _as_xy(y0)
+    if not region_contains(region, y):
+        raise InvalidParameterError("reference point lies outside the region")
+    rr = np.atleast_1d(np.asarray(r, dtype=float))
+    if region.kind == "disk":
+        W = region.radius
+        d = _disk_offset(region, y)
+        out = np.clip(_disk_overlap_area(W, d, np.maximum(rr, 0.0))
+                      / region.area, 0.0, 1.0)
+        out[rr <= 0] = 0.0
+    else:
+        v, _, _, _, vdist = _side_frames(region, y)
+        out = np.empty(rr.shape)
+        big = rr >= float(vdist.max())
+        small = rr <= 0
+        mid = ~(big | small)
+        out[big] = 1.0
+        out[small] = 0.0
+        if np.any(mid):
+            out[mid] = np.clip(_polygon_clip_area(v, rr[mid]) / region.area,
+                               0.0, 1.0)
+    return out if np.ndim(r) else float(out[0])
 
 
 def pdf_regular_polygon_center(num_sides, circumradius, r):

@@ -5,11 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from finitenet import (InvalidParameterError, ModelInconsistencyError,
-                       NakagamiChannel, UnsupportedModelError,
-                       general_cdf_eval, general_fading_cdf,
-                       nakagami_as_general_cdf, nakagami_power_gain_pdf,
-                       nakagami_reference_cdf)
+from finitenet import (EulerInversionParams, InvalidParameterError,
+                       ModelInconsistencyError, NakagamiChannel, Scenario,
+                       UnsupportedModelError, disk_region, general_cdf_eval,
+                       general_fading_cdf, nakagami_as_general_cdf,
+                       nakagami_power_gain_pdf, nakagami_reference_cdf,
+                       outage_rlpg_for_counts)
 from finitenet.channel import integer_shape
 
 from scalar_quad import adaptive_quad
@@ -144,6 +145,28 @@ def test_one_integer_shape_rule():
     assert nakagami_as_general_cdf(1 + 5e-10).terms == one
     with pytest.raises(UnsupportedModelError):
         nakagami_as_general_cdf(1 - 2e-9)
+
+
+def test_one_whole_number_rule():
+    # interferer counts, series orders and powers refuse non-finite values
+    # and integers past 2^53 with the package's own errors
+    sc = Scenario(region=disk_region((0, 0), 100.0), receiver=(0.0, 0.0),
+                  r0=5.0, num_interferers=3,
+                  channel=NakagamiChannel(m0=2.0, m=1.0), alpha=4.0,
+                  beta=1.0, rho0=100.0)
+    for bad in (math.nan, math.inf, -math.inf, 2 ** 53 + 1):
+        with pytest.raises(InvalidParameterError):
+            outage_rlpg_for_counts(sc, [bad])
+        for name in ("B", "C"):
+            with pytest.raises(InvalidParameterError):
+                EulerInversionParams(**{name: bad})
+        with pytest.raises(ModelInconsistencyError, match="power"):
+            general_fading_cdf([(1.0, 0, 1.0), (1.0, bad, 0.0)])
+    # whole floats still count as integers
+    assert outage_rlpg_for_counts(sc, [3.0]) == outage_rlpg_for_counts(sc, [3])
+    assert (EulerInversionParams(B=11.0).B, EulerInversionParams(C=14.0).C) \
+        == (11, 14)
+    assert general_fading_cdf([(1.0, 0.0, 1.0)]).terms == ((1.0, 0, 1.0),)
 
 
 def test_inconsistent_coefficients_rejected():

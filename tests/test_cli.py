@@ -422,6 +422,13 @@ def test_geometry_built_once_per_row(tmp_path, monkeypatch):
     assert main(["maxm", "--scenario", path, "--out", out,
                  "--target", "0.05"]) == 0
     assert len(calls) == 1
+    # the mgf points of a sweep over M share the first point's kernel,
+    # built from that point's own scenario
+    calls.clear()
+    path = _write(tmp_path, _mgf_rim_raw())
+    assert main(["sweep", "--scenario", path, "--out", out, "--variable",
+                 "M", "--values", "1,2,3", "--method", "mgf"]) == 0
+    assert len(calls) == 3
 
 
 # ----- sweeps -----
@@ -596,6 +603,27 @@ def test_maxm_target_validation(tmp_path, capsys):
     assert main(["maxm", "--scenario", path, "--out",
                  str(tmp_path / "o.csv"), "--target", "1.5"]) == 2
     capsys.readouterr()
+
+
+def test_rlpg_maxm_on_a_large_disk(tmp_path):
+    # about 16k interferers on a disk of radius 3000: the count scan runs
+    # over tens of thousands of counts
+    raw = _base_raw(region={"type": "disk", "params": {"radius": 3000.0}},
+                    m0=2)
+    out = tmp_path / "maxm.csv"
+    assert main(["maxm", "--scenario", _write(tmp_path, raw), "--out",
+                 str(out), "--target", "0.05", "--method", "rlpg"]) == 0
+    cfg = parse_scenario_config(raw)
+    sc = build_scenario(cfg)
+    from finitenet import outage_rlpg_for_counts
+    under, over = outage_rlpg_for_counts(sc, [15886, 15887])
+    assert under <= 0.05 < over
+    m_star, eps_star = cli._nearest_crossing(15886, under, over, 0.05)
+    assert m_star == 15887
+    expected = tmp_path / "expected.csv"
+    cli.emit_csv([[scenario_fingerprint(cfg, sc), "rlpg", 0.05, m_star,
+                   eps_star, True]], str(expected), MAXM_HEADER)
+    assert out.read_bytes() == expected.read_bytes()
 
 
 def test_maxm_nearest_crossing_prefers_closer_count():

@@ -1,8 +1,9 @@
 """Distance laws from a receiver to a uniform node in a convex region.
 
-The pdf comes from an arc-measure sweep and the cdf from circle-polygon
-clipping; the two are independent code paths, so pdf-vs-cdf agreement and
-agreement with hand-derived closed forms are genuine cross-checks.
+The pdf comes from an arc-measure sweep; the cdf oracle (circle-region
+clipping, in geometry_oracles) is an independent code path, so pdf-vs-cdf
+agreement and agreement with hand-derived closed forms are genuine
+cross-checks.
 """
 
 import math
@@ -16,7 +17,8 @@ from finitenet import (InvalidParameterError, NakagamiChannel, Scenario,
                        outage_rlpg, pdf_disk_closed_form, polygon_region,
                        region_contains, simulate_outage)
 
-from geometry_oracles import pdf_regular_polygon_center, segment_corner_pdf
+from geometry_oracles import (clip_cdf, pdf_regular_polygon_center,
+                              segment_corner_pdf)
 from scalar_quad import adaptive_quad
 
 TWO_PI = 2.0 * math.pi
@@ -201,7 +203,8 @@ def test_disk_center_pdf_values():
     assert abs(prof.pdf(50.0) - 1.0 / 100.0) < 1e-15  # 2 pi r / area = r poled
     assert prof.pdf(100.5) == 0.0
     assert prof.r_max == 100.0
-    assert abs(prof.cdf(50.0) - 0.25) < 1e-15
+    assert abs(clip_cdf(disk_region((0, 0), 100.0), (0, 0), 50.0) - 0.25) \
+        < 1e-15
 
 
 def test_disk_center_pdf_at_half_radius_is_one_over_radius():
@@ -272,10 +275,12 @@ def test_disk_rim_arc_measure_matches_pdf(monkeypatch):
 
 def test_disk_offset_pdf_matches_cdf_derivative():
     W, d = 100.0, 30.0
-    prof = distance_profile(disk_region((0, 0), W), (d, 0.0))
+    reg = disk_region((0, 0), W)
+    prof = distance_profile(reg, (d, 0.0))
     h = 1e-4
     for r in (40.0, 90.0, 120.0):
-        numeric = (prof.cdf(r + h) - prof.cdf(r - h)) / (2.0 * h)
+        numeric = (clip_cdf(reg, (d, 0.0), r + h)
+                   - clip_cdf(reg, (d, 0.0), r - h)) / (2.0 * h)
         assert abs(prof.pdf(r) - numeric) < 1e-8
 
 
@@ -442,7 +447,8 @@ def test_random_profiles_pdf_is_cdf_derivative():
         pdf_scale = float(np.max(prof.pdf(
             np.linspace(1e-9, prof.r_max * (1 - 1e-9), 64))))
         for r in mids:
-            numeric = (prof.cdf(r + h) - prof.cdf(r - h)) / (2.0 * h)
+            numeric = (clip_cdf(reg, y0, r + h)
+                       - clip_cdf(reg, y0, r - h)) / (2.0 * h)
             assert abs(prof.pdf(r) - numeric) <= 1e-6 * max(pdf_scale, 1e-300), \
                 (trial, reg.kind, r)
 
@@ -454,11 +460,11 @@ def test_random_profiles_cdf_matches_integrated_pdf():
         prof = distance_profile(reg, y0)
         for frac in (0.25, 0.6, 0.95):
             r = frac * prof.r_max
-            got = prof.cdf(r)
+            got = clip_cdf(reg, y0, r)
             expect = _integral_of_pdf(prof, upto=r)
             assert abs(got - expect) < 1e-9, (trial, reg.kind, frac)
-        assert prof.cdf(prof.r_max) == 1.0
-        assert prof.cdf(0.0) == 0.0
+        assert clip_cdf(reg, y0, prof.r_max) == 1.0
+        assert clip_cdf(reg, y0, 0.0) == 0.0
 
 
 def test_breakpoints_end_at_r_max():

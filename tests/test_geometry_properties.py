@@ -16,7 +16,8 @@ from finitenet import (NakagamiChannel, NumericFailure, Scenario, disk_region,
                        outage_rlpg_for_counts, polygon_region, rlpg)
 from finitenet.quadrature import adaptive_rows_quad
 
-from geometry_oracles import polygon_arc_measure_plain, segment_corner_pdf
+from geometry_oracles import (clip_cdf, polygon_arc_measure_plain,
+                              segment_corner_pdf)
 from scalar_quad import adaptive_quad
 
 TWO_PI = 2.0 * math.pi
@@ -76,7 +77,7 @@ def _check_profile(reg, y0):
         below = [b for b in prof.breakpoints if b < r]
         mass, _ = adaptive_quad(prof.pdf, 0.0, r, breakpoints=below,
                                 rel_tol=1e-12, abs_tol=1e-14)
-        assert abs(prof.cdf(r) - mass) <= 1e-10
+        assert abs(clip_cdf(reg, y0, r) - mass) <= 1e-10
 
     # the pieces are consecutive breakpoint intervals starting at 0
     pieces = prof.constant_arc_pieces

@@ -9,12 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finitenet import (InvalidParameterError, NakagamiChannel, Scenario,
-                       disk_region, distance_profile, make_fig2_region,
-                       make_regular_polygon, outage_rlpg,
-                       sample_uniform_in_region,
-                       simulate_distance_distribution, simulate_outage)
+                       disk_region, make_fig2_region, make_regular_polygon,
+                       outage_rlpg, sample_uniform_in_region, simulate_outage)
+from finitenet.montecarlo import _chunk_spans, _rng_for_chunk
 
-from geometry_oracles import sample_uniform_plain
+from geometry_oracles import clip_cdf, sample_uniform_plain
 from test_geometry_properties import polygons
 
 KS_CRIT_1PCT = 1.62762  # asymptotic one-sample Kolmogorov-Smirnov, alpha=0.01
@@ -28,6 +27,18 @@ def _ks_stat(samples_sorted, cdf):
     return max(float(np.max(up - theo)), float(np.max(theo - lo)))
 
 
+def _sorted_distances(region, y0, n, seed):
+    """Sorted distances from y0 to n uniform points, drawn chunk by chunk
+    from the Monte Carlo engine's per-chunk streams, in chunk order."""
+    ref = np.asarray(y0, dtype=float)
+    parts = []
+    for idx, size in _chunk_spans(n):
+        dx, dy = sample_uniform_in_region(region, _rng_for_chunk(seed, idx),
+                                          size=size).T
+        parts.append(np.hypot(dx - ref[0], dy - ref[1]))
+    return np.sort(np.concatenate(parts))
+
+
 def _fig3_scenario(d, alpha, M=10):
     return Scenario(region=disk_region((0, 0), 100.0), receiver=(d, 0.0),
                     r0=5.0, num_interferers=M,
@@ -37,18 +48,16 @@ def _fig3_scenario(d, alpha, M=10):
 
 def test_disk_center_distances_pass_ks():
     n = 10 ** 6
-    emp = simulate_distance_distribution(disk_region((0, 0), 100.0), (0, 0),
-                                         n, seed=4)
-    stat = _ks_stat(emp.samples, lambda r: np.clip(r / 100.0, 0, 1) ** 2)
+    samples = _sorted_distances(disk_region((0, 0), 100.0), (0, 0), n, seed=4)
+    stat = _ks_stat(samples, lambda r: np.clip(r / 100.0, 0, 1) ** 2)
     assert stat < KS_CRIT_1PCT / math.sqrt(n), stat
 
 
 def test_disk_offset_distances_pass_ks():
     n = 10 ** 6
     reg = disk_region((0, 0), 100.0)
-    prof = distance_profile(reg, (30.0, 0.0))
-    emp = simulate_distance_distribution(reg, (30.0, 0.0), n, seed=5)
-    stat = _ks_stat(emp.samples, prof.cdf)
+    samples = _sorted_distances(reg, (30.0, 0.0), n, seed=5)
+    stat = _ks_stat(samples, lambda r: clip_cdf(reg, (30.0, 0.0), r))
     assert stat < KS_CRIT_1PCT / math.sqrt(n), stat
 
 
@@ -56,9 +65,8 @@ def test_fig2_vertex_distances_pass_ks():
     n = 10 ** 6
     reg = make_fig2_region(100.0)
     v2 = reg.vertices[1]
-    prof = distance_profile(reg, v2)
-    emp = simulate_distance_distribution(reg, v2, n, seed=6)
-    stat = _ks_stat(emp.samples, prof.cdf)
+    samples = _sorted_distances(reg, v2, n, seed=6)
+    stat = _ks_stat(samples, lambda r: clip_cdf(reg, v2, r))
     assert stat < KS_CRIT_1PCT / math.sqrt(n), stat
 
 
@@ -145,9 +153,6 @@ def test_input_validation():
         simulate_outage(sc, 100, seed=-1)
     with pytest.raises(InvalidParameterError):
         simulate_outage(sc, 100, seed=2 ** 64)
-    with pytest.raises(InvalidParameterError):
-        simulate_distance_distribution(disk_region((0, 0), 1.0), (0, 0),
-                                       0, seed=1)
     # non-finite sizes and seeds; workers is None or a positive int
     for bad in ({"trials": math.nan}, {"trials": math.inf},
                 {"seed": math.nan}, {"seed": math.inf}, {"seed": -math.inf},
@@ -156,17 +161,17 @@ def test_input_validation():
         kwargs = {"trials": 100, "seed": 1, **bad}
         with pytest.raises(InvalidParameterError):
             simulate_outage(sc, **kwargs)
-    for samples, seed in ((math.nan, 1), (math.inf, 1), (10, math.nan)):
-        with pytest.raises(InvalidParameterError):
-            simulate_distance_distribution(disk_region((0, 0), 1.0), (0, 0),
-                                           samples, seed)
     assert simulate_outage(sc, 100, 1, workers=np.int64(2)).trials == 100
 
 
 def test_empirical_cdf_mechanics():
-    emp = simulate_distance_distribution(disk_region((0, 0), 10.0), (0, 0),
-                                         5000, seed=8)
-    assert np.all(np.diff(emp.samples) >= 0)
+    samples = _sorted_distances(disk_region((0, 0), 10.0), (0, 0), 5000,
+                                seed=8)
+
+    def emp(x):
+        return np.searchsorted(samples, x, side="right") / samples.size
+
+    assert np.all(np.diff(samples) >= 0)
     assert emp(0.0) == 0.0
     assert emp(10.0) == 1.0
     assert 0.2 < emp(5.0) < 0.3  # true value 0.25

@@ -178,6 +178,19 @@ def test_outage_for_counts_matches_individual_calls():
         outage_rlpg_for_counts(sc, [1.5])
 
 
+def test_large_interferer_counts():
+    # a million Rayleigh interferers drown the link; the placement counts
+    # are exact integers, so the assembly stays cheap
+    sc = _scenario(disk_region((0, 0), 100.0), (25.0, 0.0), m0=1, m=1.0,
+                   M=10 ** 6)
+    assert outage_rlpg(sc).outage == 1.0
+    # at M = 2^53 the placements of 24 moments pass the float range
+    sc = _scenario(disk_region((0, 0), 100.0), (25.0, 0.0), m0=25, m=1.0,
+                   M=2 ** 53)
+    with pytest.raises(NumericFailure, match="float range"):
+        outage_rlpg(sc)
+
+
 def test_partition_assembly_equals_composition_enumeration():
     # rebuild the outage from raw weak compositions of every moment order
     # and compare against the partition-collapsed assembly

@@ -1,6 +1,7 @@
 """Hypergeometric evaluation, gamma helpers and the partition bookkeeping."""
 
 import math
+from collections import Counter
 from itertools import product
 
 import numpy as np
@@ -174,6 +175,26 @@ def test_partition_invalid_requests():
         enumerate_weighted_partitions(-1, 3)
     with pytest.raises(InvalidParameterError):
         enumerate_weighted_partitions(2, -1)
+
+
+def test_placement_counts_at_the_largest_interferer_count():
+    # M = 2^53: k parts take M!/(M-k)! = perm(M, k) ordered node choices,
+    # divided by the orderings of equal parts
+    M = 2 ** 53
+    for j in range(7):
+        terms = enumerate_weighted_partitions(j, M)
+        for t in terms:
+            want = math.perm(M, len(t.parts))
+            for mult in Counter(t.parts).values():
+                want //= math.factorial(mult)
+            assert t.arrangement_count == want, t.parts
+        # stars and bars: the weak compositions of j into M labeled parts
+        assert sum(t.arrangement_count for t in terms) \
+            == math.comb(j + M - 1, j)
+    terms = {t.parts: t for t in enumerate_weighted_partitions(3, M)}
+    assert terms[(1, 1, 1)].arrangement_count == M * (M - 1) * (M - 2) // 6
+    assert terms[(2, 1)].arrangement_count == M * (M - 1)
+    assert terms[(3,)].arrangement_count == M
 
 
 def test_partitions_skip_overlong_parts():
