@@ -19,8 +19,7 @@ a uniform point (`distance_profile`), so any convex region works.
 
 from .baselines import outage_ppp_rayleigh
 from .channel import (GeneralFadingCdf, NakagamiChannel, general_cdf_eval,
-                      general_fading_cdf, nakagami_as_general_cdf,
-                      nakagami_power_gain_pdf, nakagami_reference_cdf)
+                      general_fading_cdf, nakagami_as_general_cdf)
 from .errors import (InvalidParameterError, ModelInconsistencyError,
                      NumericFailure, ScenarioParseError, UnsupportedModelError)
 from .geometry import (DistanceProfile, Region, disk_region, distance_profile,
@@ -62,8 +61,6 @@ __all__ = [
     "make_fig2_region",
     "make_regular_polygon",
     "nakagami_as_general_cdf",
-    "nakagami_power_gain_pdf",
-    "nakagami_reference_cdf",
     "omega_expectation_table",
     "outage_disk_center",
     "outage_general_family",

@@ -22,7 +22,8 @@ from .errors import (InvalidParameterError, ModelInconsistencyError,
                      NumericFailure, ScenarioParseError, UnsupportedModelError)
 from .geometry import (disk_region, make_fig2_region, make_regular_polygon,
                        polygon_region)
-from .mgf import EulerInversionParams, outage_mgf, radial_kernel
+from .mgf import (QUADRATURE_REL_TOL, EulerInversionParams, outage_mgf,
+                  radial_kernel)
 from .montecarlo import simulate_outage
 from .rlpg import outage_rlpg, outage_rlpg_for_counts
 from .scenario import Scenario
@@ -64,7 +65,7 @@ class ScenarioConfig:
     snr_db: float
     method: str = "auto"
     inversion: EulerInversionParams = None
-    quadrature_rel_tol: float = None
+    quadrature_rel_tol: float = QUADRATURE_REL_TOL
     mc_trials: int = 1000000
     mc_seed: int = 0
     density: float = None
@@ -250,7 +251,9 @@ def parse_scenario_config(raw):
         raise ScenarioParseError(
             f"field 'method' must be one of {', '.join(METHODS)}, got {method!r}")
     rel_tol = raw.get("quadrature_rel_tol")
-    if rel_tol is not None:
+    if rel_tol is None:
+        rel_tol = QUADRATURE_REL_TOL
+    else:
         rel_tol = _num(rel_tol, "quadrature_rel_tol")
         if not rel_tol > 0:
             raise ScenarioParseError(
@@ -393,10 +396,6 @@ def resolve_method(cfg, override=None):
     return "mgf"
 
 
-def _mgf_rel_tol(cfg):
-    return 1e-10 if cfg.quadrature_rel_tol is None else cfg.quadrature_rel_tol
-
-
 def evaluate_scenario(cfg, sc, method, kernel=None):
     """Evaluate the scenario sc built from cfg with one engine. Returns
     (outage, std_error); std_error is None for the non-statistical engines.
@@ -404,7 +403,8 @@ def evaluate_scenario(cfg, sc, method, kernel=None):
     if method == "rlpg":
         return outage_rlpg(sc).outage, None
     if method == "mgf":
-        return outage_mgf(sc, params=cfg.inversion, rel_tol=_mgf_rel_tol(cfg),
+        return outage_mgf(sc, params=cfg.inversion,
+                          rel_tol=cfg.quadrature_rel_tol,
                           kernel=kernel).outage, None
     if method == "mc":
         est = simulate_outage(sc, cfg.mc_trials, cfg.mc_seed)
@@ -502,7 +502,7 @@ def sweep_rows(cfg, variable, values, methods):
         point = apply_sweep_value(cfg, variable, value)
         sc = build_scenario(point)
         if shared and kernel is None:
-            kernel = radial_kernel(sc, _mgf_rel_tol(point))
+            kernel = radial_kernel(sc, point.quadrature_rel_tol)
         row = [scenario_fingerprint(point, sc), value]
         std = None
         for meth in methods:
@@ -555,7 +555,7 @@ def max_supported_interferers(cfg, sc, target, method):
     if method != "mgf":
         raise ScenarioParseError(
             "the interferer-count search needs an analytic method (rlpg or mgf)")
-    kernel = radial_kernel(sc, _mgf_rel_tol(cfg))
+    kernel = radial_kernel(sc, cfg.quadrature_rel_tol)
     prev, _ = evaluate_scenario(cfg, replace(sc, num_interferers=0), "mgf",
                                 kernel)
     if prev > target:

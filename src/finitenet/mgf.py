@@ -22,6 +22,10 @@ from .specfun import gauss_2f1, ln_gamma
 
 _LN10 = math.log(10.0)
 
+# The outer quadrature's relative tolerance when the caller (or the scenario
+# file's quadrature_rel_tol) gives none; the inner one derives from it.
+QUADRATURE_REL_TOL = 1e-10
+
 # Gain values whose images u = g/(1+g) seed the outer panels; the gamma
 # weight can concentrate anywhere in this span depending on the shape.
 _G0_KNOTS = (1e-4, 1e-3, 1e-2, 0.1, 0.3, 1.0, 3.0, 10.0, 30.0)
@@ -168,7 +172,7 @@ def euler_invert_cdf(laplace_of_pdf, z, params=None):
     return _invert_cdf(sample, z, params)
 
 
-def _radial_mixture_rows(profile, m, alpha, q, rel_tol, abs_tol=1e-14):
+def _radial_mixture_rows(profile, m, alpha, q, rel_tol):
     """E_R{ m^m R^{alpha m} (m R^alpha + q)^{-m} } for a batch of complex q.
 
     This is the fading-averaged attenuation kernel: averaging the gamma gain
@@ -187,7 +191,7 @@ def _radial_mixture_rows(profile, m, alpha, q, rel_tol, abs_tol=1e-14):
 
     vals, _ = adaptive_rows_quad(rows, 0.0, profile.r_max,
                                  breakpoints=profile.breakpoints,
-                                 rel_tol=rel_tol, abs_tol=abs_tol)
+                                 rel_tol=rel_tol, abs_tol=1e-14)
     return vals.reshape(np.shape(q))
 
 
@@ -224,28 +228,33 @@ def _kernel_key(scenario, inner_rel):
             scenario.alpha, inner_rel)
 
 
-def _tabled_pdf(pdf):
-    """pdf with a table from each abscissa array (its shape and bytes) to
-    its values, stored read-only.
+def _array_memo(fn, dtype):
+    """fn of one array, each result computed once per argument array (its
+    shape and bytes as the given dtype) and stored read-only.
 
-    Every radial batch restarts its adaptive quadrature on the same
-    breakpoint panels and bisects the same dyadic tree, so most abscissa
-    arrays of one kernel repeat whole. Threads that miss on the same array
-    at once each compute the same values, and the table keeps the first.
+    Threads share the table: the first to miss on an array computes it and
+    the others wait for that result, or its exception. A hit reads the
+    stored result and builds nothing.
     """
-    table = {}
+    memo = {}
 
-    def tabled(r):
-        r = np.asarray(r, dtype=float)
-        key = (r.shape, r.tobytes())
-        vals = table.get(key)
-        if vals is None:
-            vals = np.asarray(pdf(r))
-            vals.setflags(write=False)
-            vals = table.setdefault(key, vals)
-        return vals
+    def memoised(x):
+        x = np.ascontiguousarray(x, dtype=dtype)
+        key = (x.shape, x.tobytes())
+        done = memo.get(key)
+        if done is None:
+            mine = Future()
+            done = memo.setdefault(key, mine)
+            if done is mine:
+                try:
+                    vals = np.asarray(fn(x))
+                    vals.setflags(write=False)
+                    mine.set_result(vals)
+                except BaseException as exc:
+                    mine.set_exception(exc)
+        return done.result()
 
-    return tabled
+    return memoised
 
 
 class _RadialKernel:
@@ -256,10 +265,10 @@ class _RadialKernel:
     rho0 leave them unchanged, and r0 and s enter through q. So every
     outage_mgf call that differs only in M, rho0, r0, beta or the inversion
     parameters can share one kernel, and a batch it has seen comes back
-    bit-identical without another radial integral. Threads share it too:
-    the first to ask for a batch computes it and the others wait for that
-    result (or its exception). The distance pdf is tabulated per abscissa
-    array (_tabled_pdf), since the batches evaluate it on the same panels.
+    bit-identical without another radial integral. Both the q batches and
+    the distance pdf's abscissa arrays go through _array_memo, so threads
+    share them as it says; the pdf is tabulated because every batch
+    evaluates it on the same breakpoint panels and dyadic bisections.
 
     Batches are memoised whole, by their bytes: the adaptive quadrature
     refines all rows of a batch together, so a row's value depends on the
@@ -268,29 +277,15 @@ class _RadialKernel:
 
     def __init__(self, scenario, inner_rel):
         self.key = _kernel_key(scenario, inner_rel)
-        profile = scenario.profile()
-        self._profile = replace(profile, pdf=_tabled_pdf(profile.pdf))
-        self._m = scenario.channel.m
-        self._alpha = scenario.alpha
-        self._inner_rel = inner_rel
-        self._memo = {}
-
-    def rows(self, q):
-        q = np.ascontiguousarray(q, dtype=complex)
-        mine = Future()
-        shared = self._memo.setdefault((q.shape, q.tobytes()), mine)
-        if shared is mine:
-            try:
-                vals = _radial_mixture_rows(self._profile, self._m,
-                                            self._alpha, q, self._inner_rel)
-                vals.setflags(write=False)
-                mine.set_result(vals)
-            except BaseException as exc:
-                mine.set_exception(exc)
-        return shared.result()
+        prof = scenario.profile()
+        self._profile = prof = replace(prof, pdf=_array_memo(prof.pdf, float))
+        m, alpha = scenario.channel.m, scenario.alpha
+        self.rows = _array_memo(
+            lambda q: _radial_mixture_rows(prof, m, alpha, q, inner_rel),
+            complex)
 
 
-def radial_kernel(scenario, rel_tol=1e-10):
+def radial_kernel(scenario, rel_tol=QUADRATURE_REL_TOL):
     """A radial kernel for outage_mgf(..., rel_tol=rel_tol, kernel=...) on
     this scenario and on any copy of it with another num_interferers, rho0,
     r0 or beta. Reusing it changes no number; it only skips the radial
@@ -318,7 +313,8 @@ def _sample_nodes(transform, svals):
     return out
 
 
-def outage_mgf(scenario, params=None, rel_tol=1e-10, *, kernel=None):
+def outage_mgf(scenario, params=None, rel_tol=QUADRATURE_REL_TOL, *,
+               kernel=None):
     """Outage probability by inverting the Laplace transform of the
     noise-plus-interference functional at 1/beta.
 
@@ -379,6 +375,5 @@ def outage_mgf(scenario, params=None, rel_tol=1e-10, *, kernel=None):
 
     cdf = _invert_cdf(lambda svals: _sample_nodes(transform, svals), z,
                       params)
-    eps = min(1.0, max(0.0, 1.0 - cdf))
-    return OutageResult(outage=eps, method="mgf",
+    return OutageResult(outage=1.0 - cdf, method="mgf",
                         abs_error=10.0 ** (-params.accuracy_digits))

@@ -13,12 +13,11 @@ import warnings
 
 import numpy as np
 
-from .channel import (NakagamiChannel, _is_whole, integer_shape,
-                      nakagami_terms)
-from .errors import InvalidParameterError, NumericFailure, UnsupportedModelError
+from .channel import NakagamiChannel, integer_shape, nakagami_terms
+from .errors import NumericFailure, UnsupportedModelError
 from .geometry import disk_region
 from .quadrature import adaptive_rows_quad
-from .scenario import MAX_INTERFERERS, OutageResult, Scenario
+from .scenario import OutageResult, Scenario, _interferer_count
 from .specfun import enumerate_weighted_partitions, gauss_2f1, ln_gamma
 
 _CLAMP_SLACK = 1e-9
@@ -208,11 +207,8 @@ def outage_rlpg_for_counts(scenario, counts):
     ba = scenario.beta * scenario.r0 ** scenario.alpha
     out = []
     for num in counts:
-        if not (_is_whole(num) and 0 <= num <= MAX_INTERFERERS):
-            raise InvalidParameterError(
-                f"interferer count must be an integer in "
-                f"[0, {MAX_INTERFERERS}], got {num}")
-        raw = 1.0 - _tilted_average(table, int(num), m0, terms, br, ba)
+        raw = 1.0 - _tilted_average(table, _interferer_count(num), m0, terms,
+                                    br, ba)
         out.append(_clamp_unit(raw, "outage assembly"))
     return out
 

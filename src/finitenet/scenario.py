@@ -24,6 +24,16 @@ _CPU_WORKERS = (len(os.sched_getaffinity(0))
 MAX_INTERFERERS = MAX_WHOLE
 
 
+def _interferer_count(count):
+    """count as an int; the one rule for an interferer count, which must be
+    a whole number in [0, MAX_INTERFERERS]."""
+    if not (_is_whole(count) and 0 <= count <= MAX_INTERFERERS):
+        raise InvalidParameterError(
+            f"number of interferers must be an integer in "
+            f"[0, {MAX_INTERFERERS}], got {count}")
+    return int(count)
+
+
 @dataclass(frozen=True, eq=False)
 class Scenario:
     """One outage computation: where the receiver sits and who interferes.
@@ -61,12 +71,8 @@ class Scenario:
                 f"beta must be positive and finite, got {self.beta}")
         if not self.rho0 > 0:
             raise InvalidParameterError(f"rho0 must be positive, got {self.rho0}")
-        count = self.num_interferers
-        if not (_is_whole(count) and 0 <= count <= MAX_INTERFERERS):
-            raise InvalidParameterError(
-                f"number of interferers must be an integer in "
-                f"[0, {MAX_INTERFERERS}], got {count}")
-        object.__setattr__(self, "num_interferers", int(count))
+        object.__setattr__(self, "num_interferers",
+                           _interferer_count(self.num_interferers))
         xy = np.array(self.receiver, dtype=float).reshape(2)
         if not region_contains(self.region, xy):
             raise InvalidParameterError(
@@ -80,15 +86,13 @@ class Scenario:
 
 @dataclass(frozen=True)
 class OutageResult:
-    """Outage probability with provenance and accuracy metadata.
+    """Outage probability of an analytic engine, with its provenance.
 
-    method: "mgf", "rlpg", "mc", or "ppp".
-    abs_error: best-effort absolute error bound (inversion target, quadrature
-        estimate, or Monte Carlo standard error).
-    std_error/trials: populated for Monte Carlo estimates only.
+    method: "mgf", "rlpg" or "ppp". Monte Carlo (simulate_outage) returns a
+        McEstimate instead, which carries its standard error and trials.
+    abs_error: best-effort absolute error (the inversion's aim or the series
+        engine's fixed figure); 0.0 for the closed-form baseline.
     """
     outage: float
     method: str
     abs_error: float = 0.0
-    std_error: float = None
-    trials: int = None

@@ -50,7 +50,8 @@ def _inverse_z_2f1(a, b, c, z):
 
 
 # mpmath's working precision is process-global state; serialize access so
-# concurrent sweep workers cannot race on it.
+# library callers that run the series engine from threads of their own
+# cannot race on it.
 _MPMATH_LOCK = threading.Lock()
 
 

@@ -5,14 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from finitenet import (EulerInversionParams, InvalidParameterError,
-                       ModelInconsistencyError, NakagamiChannel, Scenario,
-                       UnsupportedModelError, disk_region, general_cdf_eval,
-                       general_fading_cdf, nakagami_as_general_cdf,
-                       nakagami_power_gain_pdf, nakagami_reference_cdf,
-                       outage_rlpg_for_counts)
+from finitenet import (EulerInversionParams, GeneralFadingCdf,
+                       InvalidParameterError, ModelInconsistencyError,
+                       NakagamiChannel, Scenario, UnsupportedModelError,
+                       disk_region, general_cdf_eval, general_fading_cdf,
+                       nakagami_as_general_cdf, outage_rlpg_for_counts)
 from finitenet.channel import integer_shape
 
+from fading_oracles import nakagami_power_gain_pdf, nakagami_reference_cdf
 from scalar_quad import adaptive_quad
 
 
@@ -169,6 +169,26 @@ def test_one_whole_number_rule():
     assert general_fading_cdf([(1.0, 0.0, 1.0)]).terms == ((1.0, 0, 1.0),)
 
 
+def test_one_interferer_count_rule():
+    # Scenario and the series engine's counts share one rule and one message
+    base = dict(region=disk_region((0, 0), 100.0), receiver=(0.0, 0.0),
+                r0=5.0, channel=NakagamiChannel(m0=2.0, m=1.0), alpha=4.0,
+                beta=1.0, rho0=100.0)
+    sc = Scenario(num_interferers=3, **base)
+    for bad in (math.nan, math.inf, -math.inf, -1, 2.5, 2 ** 53 + 1,
+                10 ** 400):
+        with pytest.raises(InvalidParameterError,
+                           match="number of interferers"):
+            Scenario(num_interferers=bad, **base)
+        with pytest.raises(InvalidParameterError,
+                           match="number of interferers"):
+            outage_rlpg_for_counts(sc, [bad])
+    assert Scenario(num_interferers=2 ** 53, **base).num_interferers \
+        == 2 ** 53
+    eps, = outage_rlpg_for_counts(sc, [2 ** 53])
+    assert 0.0 <= eps <= 1.0
+
+
 def test_inconsistent_coefficients_rejected():
     # F(0) = -1: value escapes [0, 1]
     with pytest.raises(ModelInconsistencyError):
@@ -197,3 +217,21 @@ def test_general_cdf_eval_guards():
     assert np.all(np.diff(vals) >= 0.0)
     assert vals[0] == 0.0
     assert vals[-1] <= 1.0
+
+
+def test_general_cdf_eval_is_finite_where_powers_overflow():
+    # a term g^k e^(-n g) whose power overflows while its decay underflows
+    # must not turn the CDF into NaN: a zero coefficient adds nothing, and a
+    # valid law (the Gamma(101, 1) CDF) reaches 1 far in its tail
+    zero_power = general_fading_cdf([(1.0, 0, 1.0), (1.0, 400, 0.0)])
+    assert general_cdf_eval(zero_power, 2000.0) == 1.0
+    gamma101 = general_fading_cdf([(1.0, k, 1.0 / math.factorial(k))
+                                   for k in range(101)])
+    assert general_cdf_eval(gamma101, 1300.0) == 1.0
+    vals = general_cdf_eval(gamma101, [0.0, 100.0, 1300.0, math.inf])
+    assert vals[0] == 0.0 and np.all(np.diff(vals) >= 0.0)
+    assert vals[-1] == 1.0
+    # a law whose tail term does overflow is refused, not evaluated to NaN
+    overflowing = GeneralFadingCdf(terms=((1.0, 0, 1.0), (1.0, 400, 1.0)))
+    with pytest.raises(ModelInconsistencyError, match="not finite"):
+        general_cdf_eval(overflowing, 2000.0)

@@ -117,6 +117,22 @@ def test_inversion_parsing():
         parse_scenario_config(_base_raw(inversion={"zeta": 8, "A": 1.0}))
 
 
+def test_quadrature_tolerance_defaults_to_the_mgf_constant():
+    # a missing and a null quadrature_rel_tol both mean the one default,
+    # which is also the default of the engine and of its radial kernel
+    import inspect
+
+    assert parse_scenario_config(_base_raw()).quadrature_rel_tol \
+        == mgf.QUADRATURE_REL_TOL
+    assert parse_scenario_config(_base_raw(quadrature_rel_tol=None)) \
+        .quadrature_rel_tol == mgf.QUADRATURE_REL_TOL
+    assert parse_scenario_config(_base_raw(quadrature_rel_tol=1e-8)) \
+        .quadrature_rel_tol == 1e-8
+    for fn in (outage_mgf, mgf.radial_kernel):
+        default = inspect.signature(fn).parameters["rel_tol"].default
+        assert default == mgf.QUADRATURE_REL_TOL, fn
+
+
 _FIG2 = {"type": "fig2", "params": {"width": 100.0}}
 
 # every integer field of a scenario file: a scenario file holding value v

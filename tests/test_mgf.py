@@ -13,11 +13,12 @@ import finitenet.scenario as scenario_module
 from finitenet import (EulerInversionParams, InvalidParameterError,
                        NakagamiChannel, NumericFailure, Scenario, disk_region,
                        distance_profile, euler_invert_cdf, make_fig2_region,
-                       nakagami_power_gain_pdf, outage_mgf, outage_rlpg,
-                       radial_kernel, simulate_outage)
+                       outage_mgf, outage_rlpg, radial_kernel,
+                       simulate_outage)
 from finitenet.mgf import _radial_mixture_rows, phi_closed_form
 from scipy import special as sp
 
+from fading_oracles import nakagami_power_gain_pdf
 from scalar_quad import adaptive_quad
 
 LN10 = math.log(10.0)
@@ -381,13 +382,9 @@ def test_outage_refuses_a_kernel_built_for_another_scenario():
             outage_mgf(other, rel_tol=rel_tol, kernel=kernel)
 
 
-def test_radial_kernel_computes_each_batch_once_across_threads(monkeypatch):
-    import sys
+def _slow_kernel_rows(monkeypatch, calls):
+    """A radial kernel whose rows are 2q, each batch logged and slow."""
     import time
-    from concurrent.futures import ThreadPoolExecutor
-
-    import finitenet.mgf as mgf
-    calls = []
 
     def slow_rows(profile, m, alpha, q, rel_tol):
         calls.append(q.tobytes())
@@ -398,11 +395,51 @@ def test_radial_kernel_computes_each_batch_once_across_threads(monkeypatch):
     kernel = radial_kernel(_scenario(disk_region((0, 0), 100.0), (50.0, 0.0),
                                      m0=1.0, m=1.0))
     batches = [np.arange(k, k + 15, dtype=complex) for k in range(20)]
+    return kernel.rows, batches, lambda q: 2.0 * q
+
+
+def _slow_kernel_pdf(monkeypatch, calls):
+    """A radial kernel's tabulated pdf over a profile whose pdf is logged
+    and slow."""
+    import time
+    from dataclasses import replace
+
+    build = scenario_module.distance_profile
+
+    def slow_profile(region, receiver):
+        prof = build(region, receiver)
+
+        def pdf(r):
+            calls.append(r.tobytes())
+            time.sleep(1e-3)
+            return prof.pdf(r)
+
+        return replace(prof, pdf=pdf)
+
+    monkeypatch.setattr(scenario_module, "distance_profile", slow_profile)
+    fig2 = make_fig2_region(100.0)
+    prof = build(fig2, (60.0, 20.0))
+    kernel = radial_kernel(_scenario(fig2, (60.0, 20.0), m0=1.0, m=1.0))
+    radii = [np.linspace(0.5 * k, prof.r_max, 60) for k in range(1, 21)]
+    return kernel._profile.pdf, radii, prof.pdf
+
+
+@pytest.mark.parametrize("memoised", [_slow_kernel_rows, _slow_kernel_pdf],
+                         ids=["rows", "pdf"])
+def test_radial_kernel_computes_each_batch_once_across_threads(monkeypatch,
+                                                               memoised):
+    # the kernel's rows and its pdf share one memo: threads that miss on the
+    # same array at once wait for the first one's result
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+
+    calls = []
+    fn, batches, expected = memoised(monkeypatch, calls)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=8) as pool:
-            futures = [pool.submit(kernel.rows, batches[i % 20].copy())
+            futures = [pool.submit(fn, batches[i % 20].copy())
                        for i in range(400)]
             results = [f.result(timeout=60) for f in futures]
     finally:
@@ -410,7 +447,7 @@ def test_radial_kernel_computes_each_batch_once_across_threads(monkeypatch):
     assert sorted(calls) == sorted(b.tobytes() for b in batches)
     for i, res in enumerate(results):
         assert res is results[i % 20]
-        assert np.array_equal(res, 2.0 * batches[i % 20])
+        assert np.array_equal(res, expected(batches[i % 20]))
         assert not res.flags.writeable
 
 
@@ -505,10 +542,10 @@ def test_radial_pdf_is_tabulated_once_per_abscissa_array(monkeypatch):
 
     monkeypatch.setattr(scenario_module, "distance_profile",
                         counting_profile)
-    # at width 1 the nodes run one at a time and every array is computed
-    # once; threads that miss on the same array at once may each compute it
-    # (see the next test)
-    monkeypatch.setattr(scenario_module, "_CPU_WORKERS", 1)
+    # every array is computed once, also with the nodes on the pool:
+    # threads that miss on the same array at once wait for the first (see
+    # test_radial_kernel_computes_each_batch_once_across_threads)
+    monkeypatch.setattr(scenario_module, "_CPU_WORKERS", 2)
     sc = _pool_scenarios()[1]
     kernel = radial_kernel(sc, rel_tol=1e-6)
     outage_mgf(sc, rel_tol=1e-6, kernel=kernel)
@@ -536,7 +573,7 @@ def test_radial_pdf_table_hands_every_thread_the_first_array():
         time.sleep(1e-3)
         return prof.pdf(r)
 
-    tabled = mgf._tabled_pdf(slow_pdf)
+    tabled = mgf._array_memo(slow_pdf, float)
     radii = [np.linspace(0.5 * k, prof.r_max, 60) for k in range(1, 21)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
