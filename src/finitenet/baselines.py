@@ -14,10 +14,12 @@ def outage_ppp_rayleigh(density, r0, alpha, beta, rho0):
     Requires alpha > 2: the interference functional of an infinite field
     has no finite Laplace exponent at alpha = 2.
     """
-    if density < 0:
-        raise InvalidParameterError(f"density must be >= 0, got {density}")
-    if not r0 > 0:
-        raise InvalidParameterError(f"link distance must be positive, got {r0}")
+    if not (math.isfinite(density) and density >= 0):
+        raise InvalidParameterError(
+            f"density must be finite and >= 0, got {density}")
+    if not (math.isfinite(r0) and r0 > 0):
+        raise InvalidParameterError(
+            f"link distance must be positive and finite, got {r0}")
     if not (beta > 0 and rho0 > 0):
         raise InvalidParameterError("threshold and SNR must be positive")
     if not alpha > 2.0:

@@ -547,7 +547,7 @@ def max_supported_interferers(cfg, sc, target, method):
             if hi >= _MAXM_CAP:
                 raise NumericFailure(
                     f"count search exceeded {_MAXM_CAP} interferers")
-            hi *= 2
+            hi = min(2 * hi, _MAXM_CAP)
         over = next(i for i, e in enumerate(eps) if e > target)
         m_star, eps_star = _nearest_crossing(over - 1, eps[over - 1],
                                              eps[over], target)

@@ -6,7 +6,7 @@ distributed node has density f_R(r) = r * theta(r) / |A|, where theta(r) is
 the angular measure of directions phi with y0 + r*(cos phi, sin phi) still
 inside the region. For polygons theta is computed as 2*pi minus the measure
 of the union of per-side "outside" arcs. Both engines read the law only
-through this pdf (and its constant-angle pieces).
+through this pdf (and its constant-angle piece).
 """
 
 import math
@@ -42,29 +42,32 @@ class DistanceProfile:
     breakpoints: sorted radii where the pdf changes analytic form, ending
         with r_max. pdf/arc_measure take a scalar or an array of radii;
         the pdf is r * arc_measure(r) / area.
-    constant_arc_pieces: (lo, hi, theta) for the consecutive breakpoint
-        intervals [0, b1], [b1, b2], ... up to the contact radius, the
+    constant_piece: (hi, theta), with [0, hi] the constant-angle piece:
+        hi is the largest breakpoint at or below the contact radius, the
         nearest boundary point off the sides through the reference point.
         The inside-arc measure is the constant theta there, so
         f_R(r) = theta * r / area exactly and closed-form expectation
-        formulas apply; beyond the last piece theta is arccos-shaped.
-        Empty when the contact radius is within rounding of 0, or is not a
-        breakpoint (a disk receiver within rounding of the rim).
+        formulas apply; beyond hi theta is arccos-shaped. None when the
+        contact radius is within rounding of 0, or no breakpoint lies at or
+        below it (a disk receiver within rounding of the rim).
     """
     r_max: float
     breakpoints: tuple
     area: float
     pdf: object
     arc_measure: object
-    constant_arc_pieces: tuple
+    constant_piece: object
 
 
 # ----- region constructors -----
 
 def disk_region(center, radius):
-    if not radius > 0:
-        raise InvalidParameterError(f"disk radius must be positive, got {radius}")
+    if not (math.isfinite(radius) and radius > 0):
+        raise InvalidParameterError(
+            f"disk radius must be positive and finite, got {radius}")
     c = np.array(center, dtype=float).reshape(2)
+    if not np.all(np.isfinite(c)):
+        raise InvalidParameterError(f"disk centre must be finite, got {c}")
     c.setflags(write=False)
     return Region(kind="disk", area=math.pi * radius * radius,
                   scale=float(radius), center=c, radius=float(radius))
@@ -74,6 +77,8 @@ def polygon_region(vertices):
     v = np.array(vertices, dtype=float)
     if v.ndim != 2 or v.shape[1] != 2 or v.shape[0] < 3:
         raise InvalidParameterError("polygon needs at least 3 planar vertices")
+    if not np.all(np.isfinite(v)):
+        raise InvalidParameterError("polygon vertices must be finite")
     edges = np.roll(v, -1, axis=0) - v
     scale = float(np.hypot(edges[:, 0], edges[:, 1]).max())
     cross = edges[:, 0] * np.roll(edges, -1, axis=0)[:, 1] \
@@ -94,8 +99,8 @@ def make_regular_polygon(num_sides, circumradius, center=(0.0, 0.0)):
     """Regular polygon with num_sides vertices on a circle of given radius."""
     if num_sides < 3:
         raise InvalidParameterError(f"need at least 3 sides, got {num_sides}")
-    if not circumradius > 0:
-        raise InvalidParameterError("circumradius must be positive")
+    if not (math.isfinite(circumradius) and circumradius > 0):
+        raise InvalidParameterError("circumradius must be positive and finite")
     ang = TWO_PI * np.arange(num_sides) / num_sides
     c = np.asarray(center, dtype=float)
     verts = c + circumradius * np.stack([np.cos(ang), np.sin(ang)], axis=1)
@@ -109,8 +114,8 @@ def make_fig2_region(width):
     the area is about 13143 and the far vertices sit at (173.2, 0) and
     (50.73, 122.47).
     """
-    if not width > 0:
-        raise InvalidParameterError("width must be positive")
+    if not (math.isfinite(width) and width > 0):
+        raise InvalidParameterError("width must be positive and finite")
     s3 = math.sqrt(3.0)
     s6h = math.sqrt(6.0) / 2.0
     verts = width * np.array([
@@ -128,9 +133,9 @@ def _as_xy(y0):
     return np.asarray(y0, dtype=float).reshape(2)
 
 
-def region_contains(region, point, rtol=CONTAINMENT_RTOL):
+def region_contains(region, point):
     xy = _as_xy(point)
-    tol = rtol * region.scale
+    tol = CONTAINMENT_RTOL * region.scale
     if region.kind == "disk":
         return np.hypot(*(xy - region.center)) <= region.radius + tol
     v = region.vertices
@@ -294,19 +299,6 @@ def _scalar_or_array(f):
     return call
 
 
-def _constant_prefix(breaks, contact, tol, arc_measure):
-    """The breakpoint intervals [0, b1], [b1, b2], ... that end at or below
-    the contact radius, each with its angle taken at its midpoint; none when
-    the contact radius is within tol of 0."""
-    if contact <= tol:
-        return ()
-    his = [b for b in breaks if b <= contact]
-    los = [0.0] + his[:-1]
-    thetas = arc_measure(0.5 * (np.array(los) + np.array(his)))
-    return tuple((lo, hi, float(theta))
-                 for lo, hi, theta in zip(los, his, thetas))
-
-
 def distance_profile(region, y0):
     """Build the distance law (pdf, arc measure, breakpoints) for a
     reference point."""
@@ -357,9 +349,12 @@ def distance_profile(region, y0):
         # breakpoint.
         contact = _contact_radius(v, p, vdist, 1e-12 * scale)
 
+    his = [b for b in breaks if b <= contact]
+    piece = None
+    if contact > tol and his:
+        hi = his[-1]
+        piece = (hi, float(arc_measure(np.array([0.5 * hi]))[0]))
     return DistanceProfile(
         r_max=r_max, breakpoints=tuple(breaks), area=area,
         pdf=_scalar_or_array(pdf),
-        arc_measure=_scalar_or_array(arc_measure),
-        constant_arc_pieces=_constant_prefix(breaks, contact, tol,
-                                             arc_measure))
+        arc_measure=_scalar_or_array(arc_measure), constant_piece=piece)

@@ -18,7 +18,7 @@ from .channel import MAX_WHOLE, _is_whole
 from .errors import InvalidParameterError, NumericFailure
 from .quadrature import adaptive_rows_quad
 from .scenario import OutageResult
-from .specfun import gauss_2f1, ln_gamma
+from .specfun import ln_gamma
 
 _LN10 = math.log(10.0)
 
@@ -193,24 +193,6 @@ def _radial_mixture_rows(profile, m, alpha, q, rel_tol):
                                  breakpoints=profile.breakpoints,
                                  rel_tol=rel_tol, abs_tol=1e-14)
     return vals.reshape(np.shape(q))
-
-
-def phi_closed_form(theta, upsilon, m, alpha, r0, s, g0, area):
-    """Closed form of the radial kernel integral over a piece [0, upsilon]
-    of the distance density where the in-region arc angle is the constant
-    theta (density theta*r/area there).
-
-    Raises NumericFailure if the hypergeometric evaluation fails; callers
-    fall back to quadrature on the same piece.
-    """
-    if upsilon == 0.0:
-        return 0.0 + 0.0j
-    q = (r0 ** alpha) * complex(s) / g0
-    am = alpha * m
-    f21 = gauss_2f1(m, 2.0 / alpha + m, 1.0 + 2.0 / alpha + m,
-                    -m * upsilon ** alpha / q)
-    logw = m * math.log(m) + (2.0 + am) * math.log(upsilon) - m * np.log(q)
-    return theta / (area * (2.0 + am)) * np.exp(logw) * f21
 
 
 def _inner_rel_tol(rel_tol):

@@ -4,10 +4,12 @@ When the reference link's fading shape is a positive integer, the gain's CDF
 is an exponential polynomial, and averaging it over the aggregate
 interference reduces the outage probability to a finite combination of
 per-interferer moments E{Omega_t}. Each moment is a single radial integral
-against the distance density: closed form (Gauss hypergeometric) on pieces
-where the in-region arc angle is constant, adaptive quadrature elsewhere.
+against the distance density: closed form (Gauss hypergeometric) on the
+piece where the in-region arc angle is constant, adaptive quadrature
+elsewhere.
 """
 
+import cmath
 import math
 import warnings
 
@@ -49,53 +51,43 @@ def _kernel_rows(r, ts, lead, m, alpha, c):
     return np.exp(logw)
 
 
-def _psi_core(theta, upsilon, tau, m, alpha, c, area):
-    """Moment contribution of a constant-angle piece [0, upsilon]."""
-    if upsilon <= 0.0:
-        return 0.0
+def _constant_piece(theta, hi, t, m, alpha, c, area):
+    """Moment contribution of the constant-angle piece [0, hi] (density
+    theta*r/area there), for a real or complex tilt c with Re c >= 0, as a
+    complex number: the Gauss hypergeometric closed form. Raises
+    NumericFailure if the hypergeometric evaluation fails."""
+    if hi <= 0.0:
+        return 0j
     am = alpha * m
-    f21 = gauss_2f1(2.0 / alpha + m, m + tau, 1.0 + 2.0 / alpha + m,
-                    -m * upsilon ** alpha / c)
-    logw = (ln_gamma(m + tau) - ln_gamma(m) + m * math.log(m)
-            + (2.0 + am) * math.log(upsilon) - (m + tau) * math.log(c))
-    return theta / (area * (2.0 + am)) * math.exp(logw) * f21.real
-
-
-def _constant_piece(theta, lo, hi, t, m, alpha, c, area):
-    """Moment contribution of a constant-angle piece [lo, hi] (density
-    theta*r/area there): a difference of closed forms, or direct quadrature
-    of the same piece if the hypergeometric evaluation fails."""
-    try:
-        return (_psi_core(theta, hi, t, m, alpha, c, area)
-                - _psi_core(theta, lo, t, m, alpha, c, area))
-    except NumericFailure:
-        ts = np.array([t])
-        lead = _kernel_lead(ts, m)
-
-        def rows(r):
-            return (_kernel_rows(r, ts, lead, m, alpha, c)
-                    * (theta * r / area)[None, :])
-
-        vals, _ = adaptive_rows_quad(rows, lo, hi, rel_tol=_OMEGA_REL_TOL)
-        return float(vals[0])
+    f21 = gauss_2f1(2.0 / alpha + m, m + t, 1.0 + 2.0 / alpha + m,
+                    -m * hi ** alpha / c)
+    # a real tilt keeps math.log's bits, which cmath.log does not always
+    log_c = complex(math.log(abs(c)), cmath.phase(c))
+    logw = (ln_gamma(m + t) - ln_gamma(m) + m * math.log(m)
+            + (2.0 + am) * math.log(hi) - (m + t) * log_c)
+    return theta / (area * (2.0 + am)) * cmath.exp(logw) * f21
 
 
 def _omega_values(profile, ts, m, alpha, c):
     """E{Omega_t} for each exponent in ts, sharing one pass over the profile.
 
-    The constant-angle pieces, a gapless prefix [0, lo] of the breakpoint
-    intervals, are evaluated as differences of the closed form; the rest,
+    The constant-angle piece [0, lo] is evaluated in closed form; the rest,
     [lo, r_max] with its arccos-shaped angle, goes through one adaptive
-    quadrature split at the breakpoints.
+    quadrature split at the breakpoints. If the closed form fails, lo = 0
+    and the quadrature covers the whole range.
     """
     ts = np.asarray(list(ts), dtype=int)
     total = np.zeros(ts.size)
     lo = 0.0
-    for a, b, theta in profile.constant_arc_pieces:
-        for i, t in enumerate(ts):
-            total[i] += _constant_piece(theta, a, b, t, m, alpha, c,
-                                        profile.area)
-        lo = b
+    if profile.constant_piece is not None:
+        hi, theta = profile.constant_piece
+        try:
+            total = np.array([_constant_piece(theta, hi, t, m, alpha, c,
+                                              profile.area).real
+                              for t in ts])
+            lo = hi
+        except NumericFailure:
+            pass
     if lo < profile.r_max:
         lead = _kernel_lead(ts, m)
 

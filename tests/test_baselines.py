@@ -58,7 +58,10 @@ def test_alpha_two_diverges_and_is_rejected():
 
 def test_invalid_arguments():
     good = dict(density=1e-4, r0=5.0, alpha=3.0, beta=1.0, rho0=100.0)
-    for key, bad in [("density", -1e-4), ("r0", 0.0), ("r0", -2.0),
+    # a NaN density used to give outage 0
+    for key, bad in [("density", -1e-4), ("density", math.nan),
+                     ("density", math.inf), ("r0", 0.0), ("r0", -2.0),
+                     ("r0", math.nan), ("r0", math.inf),
                      ("alpha", 1.5), ("beta", 0.0),
                      ("beta", -1.0), ("rho0", 0.0)]:
         kw = dict(good)

@@ -342,6 +342,42 @@ def test_ppp_density_default_and_override():
         outage_ppp_rayleigh(2e-3, 5.0, 2.5, 1.0, 100.0).outage, rel=1e-14)
 
 
+def test_non_finite_density_is_exit_two(tmp_path, capsys):
+    path = tmp_path / "scen.json"
+    for literal in ("NaN", "Infinity", "1e999"):
+        path.write_text(json.dumps(_base_raw(method="ppp", density="@"))
+                        .replace('"@"', literal), encoding="utf-8")
+        assert main(["run", "--scenario", str(path),
+                     "--out", str(tmp_path / "o.csv")]) == 2, literal
+        assert "density" in capsys.readouterr().err
+
+
+def test_non_finite_geometry_is_exit_two(tmp_path, capsys):
+    # 1e999 decodes to inf; every engine refuses the region before it runs
+    path = tmp_path / "scen.json"
+    regions = (
+        {"type": "disk", "params": {"radius": "@"}},
+        {"type": "disk", "params": {"radius": 100.0, "center": ["@", 0.0]}},
+        {"type": "polygon",
+         "params": {"vertices": [[0.0, 0.0], [100.0, 0.0], ["@", 100.0]]}},
+        {"type": "regular_polygon",
+         "params": {"num_sides": 6, "circumradius": "@"}},
+        {"type": "fig2", "params": {"width": "@"}},
+    )
+    for region in regions:
+        raw = _base_raw(region=region,
+                        receiver={"mode": "coords", "coords": [1.0, 1.0]},
+                        mc={"trials": 1000})
+        for literal in ("NaN", "1e999"):
+            path.write_text(json.dumps(raw).replace('"@"', literal),
+                            encoding="utf-8")
+            for method in ("mc", "ppp", "rlpg", "mgf"):
+                rc = main(["run", "--scenario", str(path), "--out",
+                           str(tmp_path / "o.csv"), "--method", method])
+                assert rc == 2, (region["type"], literal, method)
+                assert "finite" in capsys.readouterr().err
+
+
 def test_fingerprint_ignores_evaluation_knobs():
     def fingerprint(cfg):
         return scenario_fingerprint(cfg, build_scenario(cfg))
@@ -640,6 +676,18 @@ def test_rlpg_maxm_on_a_large_disk(tmp_path):
     cli.emit_csv([[scenario_fingerprint(cfg, sc), "rlpg", 0.05, m_star,
                    eps_star, True]], str(expected), MAXM_HEADER)
     assert out.read_bytes() == expected.read_bytes()
+
+
+def test_rlpg_maxm_stops_at_the_count_cap(tmp_path, capsys, monkeypatch):
+    # with the cap at 100 the crossing of this scenario, near 115, lies past
+    # it: the doubling scan must stop at the cap rather than report it
+    monkeypatch.setattr(cli, "_MAXM_CAP", 100)
+    raw = _base_raw(region={"type": "disk", "params": {"radius": 330.0}})
+    rc = main(["maxm", "--scenario", _write(tmp_path, raw), "--out",
+               str(tmp_path / "o.csv"), "--target", "0.05",
+               "--method", "rlpg"])
+    assert rc == 3
+    assert "exceeded 100 interferers" in capsys.readouterr().err
 
 
 def test_maxm_nearest_crossing_prefers_closer_count():

@@ -84,6 +84,17 @@ def test_constructor_validation():
         polygon_region([(0, 0), (2, 0), (1, 0.2), (1, 2)])
     with pytest.raises(InvalidParameterError):
         make_fig2_region(-1.0)
+    for bad in (math.nan, math.inf):
+        for build in (lambda: disk_region((0, 0), bad),
+                      lambda: disk_region((bad, 0), 1.0),
+                      lambda: disk_region((0, -bad), 1.0),
+                      lambda: polygon_region([(0, 0), (1, 0), (bad, 1)]),
+                      lambda: polygon_region([(0, 0), (bad, 0), (0, 1)]),
+                      lambda: make_regular_polygon(5, bad),
+                      lambda: make_regular_polygon(5, 1.0, center=(bad, 0)),
+                      lambda: make_fig2_region(bad)):
+            with pytest.raises(InvalidParameterError):
+                build()
 
 
 def test_reference_point_validation():
@@ -483,11 +494,13 @@ def test_constant_arc_pieces_have_constant_measure():
     for _ in range(25):
         reg, y0 = _random_region_and_point(rng)
         prof = distance_profile(reg, y0)
-        for lo, hi, theta in prof.constant_arc_pieces:
-            rr = np.linspace(lo + 1e-9 * reg.scale, hi - 1e-9 * reg.scale, 7)
-            rr = rr[rr > 0]
-            got = prof.arc_measure(rr)
-            assert np.max(np.abs(got - theta)) < 1e-10, reg.kind
+        if prof.constant_piece is None:
+            continue
+        hi, theta = prof.constant_piece
+        rr = np.linspace(1e-9 * reg.scale, hi - 1e-9 * reg.scale, 7)
+        rr = rr[rr > 0]
+        got = prof.arc_measure(rr)
+        assert np.max(np.abs(got - theta)) < 1e-10, reg.kind
 
 
 def test_near_rim_disk_pieces_end_at_breakpoints():
@@ -496,5 +509,5 @@ def test_near_rim_disk_pieces_end_at_breakpoints():
     W = 100.0
     for d in (W * (1.0 - 1e-13), W * (1.0 - 1e-11), W):
         prof = distance_profile(disk_region((0, 0), W), (d, 0.0))
-        for lo, hi, _ in prof.constant_arc_pieces:
-            assert hi in prof.breakpoints, (d, lo, hi)
+        if prof.constant_piece is not None:
+            assert prof.constant_piece[0] in prof.breakpoints, d

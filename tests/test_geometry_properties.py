@@ -11,9 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finitenet import (NakagamiChannel, NumericFailure, Scenario, disk_region,
-                       distance_profile, geometry, nakagami_as_general_cdf,
-                       outage_general_family, outage_rlpg,
-                       outage_rlpg_for_counts, polygon_region, rlpg)
+                       distance_profile, geometry, make_fig2_region,
+                       nakagami_as_general_cdf, outage_general_family,
+                       outage_rlpg, outage_rlpg_for_counts, polygon_region,
+                       rlpg)
 from finitenet.quadrature import adaptive_rows_quad
 
 from geometry_oracles import (clip_cdf, polygon_arc_measure_plain,
@@ -79,16 +80,12 @@ def _check_profile(reg, y0):
                                 rel_tol=1e-12, abs_tol=1e-14)
         assert abs(clip_cdf(reg, y0, r) - mass) <= 1e-10
 
-    # the pieces are consecutive breakpoint intervals starting at 0
-    pieces = prof.constant_arc_pieces
-    assert pieces[0][0] == 0.0
-    assert all(a[1] == b[0] for a, b in zip(pieces, pieces[1:]))
-    assert all(hi in prof.breakpoints for _, hi, _ in pieces)
-    for lo, hi, theta in pieces:
-        got = prof.arc_measure(np.linspace(lo, hi, 9)[1:-1])
-        assert np.max(np.abs(got - theta)) <= 1e-12
+    # the constant piece [0, last] ends at a breakpoint
+    last, theta = prof.constant_piece
+    assert last in prof.breakpoints
+    got = prof.arc_measure(np.linspace(0.0, last, 33)[1:-1])
+    assert np.max(np.abs(got - theta)) <= 1e-12
 
-    last = prof.constant_arc_pieces[-1][1]
     after = [(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])
              if lo >= last and hi - lo > 1e-6 * reg.scale]
     if after:
@@ -200,6 +197,30 @@ def test_vertex_receiver_moments(case, params):
 @given(disk_and_receiver(), moment_params())
 def test_disk_receiver_moments(case, params):
     _check_moments(*case, params)
+
+
+def test_moments_fall_back_to_quadrature_without_the_closed_form(
+        monkeypatch):
+    # a constant piece whose 2F1 fails goes to the one quadrature, which
+    # then covers [0, r_max]
+    refused = []
+
+    def refuse(*args):
+        refused.append(args)
+        raise NumericFailure("2F1 refused")
+
+    monkeypatch.setattr(rlpg, "gauss_2f1", refuse)
+    fig2 = make_fig2_region(100.0)
+    m, alpha, ts = 1.5, 3.5, np.arange(3)
+    c = 2.0 * 5.0 ** alpha
+    for reg, y0 in ((disk_region((0.0, 0.0), 100.0), (25.0, 0.0)),
+                    (fig2, fig2.vertices[1])):
+        prof = distance_profile(reg, y0)
+        assert prof.constant_piece is not None
+        got = rlpg._omega_values(prof, ts, m, alpha, c)
+        want = _omega_by_quadrature(prof, ts, m, alpha, c)
+        assert np.all(np.abs(got - want) <= 1e-10 * np.abs(want)), reg.kind
+    assert len(refused) == 2
 
 
 @st.composite

@@ -15,7 +15,8 @@ from finitenet import (EulerInversionParams, InvalidParameterError,
                        distance_profile, euler_invert_cdf, make_fig2_region,
                        outage_mgf, outage_rlpg, radial_kernel,
                        simulate_outage)
-from finitenet.mgf import _radial_mixture_rows, phi_closed_form
+from finitenet.mgf import _radial_mixture_rows
+from finitenet.rlpg import _constant_piece
 from scipy import special as sp
 
 from fading_oracles import nakagami_power_gain_pdf
@@ -222,9 +223,16 @@ def test_inner_expectation_modulus_bounded():
 
 # ----- closed-form kernel integral over constant-angle pieces -----
 
+def _phi_closed_form(theta, upsilon, m, alpha, r0, s, g0, area):
+    """The series engine's closed form for a constant-angle piece at t = 0
+    and the transform point q = r0^alpha s / g0."""
+    return _constant_piece(theta, upsilon, 0, m, alpha,
+                           (r0 ** alpha) * complex(s) / g0, area)
+
+
 def test_phi_zero_piece():
-    assert phi_closed_form(math.pi / 3, 0.0, 1.0, 4.0, 5.0, 2.0, 0.9,
-                           math.pi * 1e4) == 0.0
+    assert _phi_closed_form(math.pi / 3, 0.0, 1.0, 4.0, 5.0, 2.0, 0.9,
+                            math.pi * 1e4) == 0.0
 
 
 def _phi_oracle(theta, upsilon, m, alpha, r0, s, g0, area):
@@ -243,7 +251,7 @@ def _phi_oracle(theta, upsilon, m, alpha, r0, s, g0, area):
 def test_phi_real_transform_point():
     theta, upsilon, area = math.pi / 3, 70.0, math.pi * 1e4
     m, alpha, r0, g0, s = 1.0, 4.0, 5.0, 0.9, 4.0
-    got = phi_closed_form(theta, upsilon, m, alpha, r0, s, g0, area)
+    got = _phi_closed_form(theta, upsilon, m, alpha, r0, s, g0, area)
     truth = _phi_oracle(theta, upsilon, m, alpha, r0, s, g0, area)
     assert abs(got - truth) <= 1e-10 * abs(truth)
 
@@ -252,9 +260,25 @@ def test_phi_complex_transform_point():
     theta, upsilon, area = 2.0, 45.0, 6200.0
     m, alpha, r0, g0 = 2.5, 2.7, 5.0, 1.4
     s = (8.0 * LN10 + 2j * math.pi) / 2.0
-    got = phi_closed_form(theta, upsilon, m, alpha, r0, s, g0, area)
+    got = _phi_closed_form(theta, upsilon, m, alpha, r0, s, g0, area)
     truth = _phi_oracle(theta, upsilon, m, alpha, r0, s, g0, area)
     assert abs(got - truth) <= 1e-10 * abs(truth)
+
+
+def test_disk_centre_kernel_is_one_closed_form():
+    # at the disk centre the whole range [0, W] is the constant piece, so a
+    # radial kernel row is the closed form at t = 0 for real and complex q
+    W = 100.0
+    prof = distance_profile(disk_region((0, 0), W), (0.0, 0.0))
+    assert prof.constant_piece == (prof.r_max, 2.0 * math.pi)
+    m, alpha, r0, g0 = 2.5, 3.0, 5.0, 0.8
+    qs = [(r0 ** alpha) * s / g0
+          for s in (4.3, (8.0 * LN10 + 2j * math.pi) / 2.0,
+                    (8.0 * LN10 + 2j * math.pi * 25) / 2.0)]
+    rows = _radial_mixture_rows(prof, m, alpha, qs, 1e-12)
+    for q, row in zip(qs, rows):
+        got = _constant_piece(2.0 * math.pi, W, 0, m, alpha, q, prof.area)
+        assert abs(got - row) <= 1e-10 * abs(row), q
 
 
 # ----- full outage evaluations -----

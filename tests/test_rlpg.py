@@ -89,7 +89,7 @@ def test_moment_table_cached_fields():
 # ----- closed-form moment pieces -----
 
 def test_psi_zero_radius():
-    assert _constant_piece(2 * math.pi, 0.0, 0.0, 0, 1.0, 3.0, 5.0 ** 3,
+    assert _constant_piece(2 * math.pi, 0.0, 0, 1.0, 3.0, 5.0 ** 3,
                            math.pi * 100.0) == 0.0
 
 
@@ -98,7 +98,7 @@ def test_psi_elementary_reduction():
     # (theta/area) (u^2/2 - (sqrt c / 2) arctan(u^2 / sqrt c)), c = beta r0^4
     theta, u, r0, beta, area = 2 * math.pi, 10.0, 2.0, 0.7, math.pi * 100.0
     c = beta * r0 ** 4
-    got = _constant_piece(theta, 0.0, u, 0, 1.0, 4.0, c, area)
+    got = _constant_piece(theta, u, 0, 1.0, 4.0, c, area)
     truth = (theta / area) * (u * u / 2.0
                               - 0.5 * math.sqrt(c) * math.atan(u * u / math.sqrt(c)))
     assert abs(got - truth) < 1e-12
@@ -117,7 +117,7 @@ def test_psi_general_shape_against_quadrature():
             - (m + tau) * np.log(m * rr ** alpha + c))
 
     truth, _ = adaptive_quad(f, 0.0, u, rel_tol=1e-13)
-    got = _constant_piece(theta, 0.0, u, tau, m, alpha, c, area)
+    got = _constant_piece(theta, u, tau, m, alpha, c, area)
     assert abs(got - truth) <= 1e-11 * abs(truth)
 
 

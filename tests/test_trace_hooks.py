@@ -64,6 +64,26 @@ def test_disk_pdf_reaches_the_wrapped_closed_form():
     assert [s[3] for s in tracer.spans].count("geometry.pdf") == 2
 
 
+def test_series_run_reaches_the_wrapped_closed_form():
+    # the benchmark counts 2F1 branches through the wrapped rlpg.gauss_2f1,
+    # so the series engine must look it up as a module attribute at call
+    # time: one closed form per moment of the table
+    from finitenet import NakagamiChannel, Scenario, disk_region, outage_rlpg
+
+    sc = Scenario(region=disk_region((0.0, 0.0), 100.0),
+                  receiver=(25.0, 0.0), r0=5.0, num_interferers=10,
+                  channel=NakagamiChannel(m0=3, m=2.0), alpha=4.0,
+                  beta=1.0, rho0=100.0)
+    tracing = _tracing()
+    tracer = tracing.Tracer()
+    try:
+        tracing.install(tracer)
+        outage_rlpg(sc)
+    finally:
+        tracer.restore()
+    assert [s[3] for s in tracer.spans].count("specfun.gauss_2f1") == 3
+
+
 def test_radial_spans_nest_in_outer_spans_on_pool_threads(monkeypatch):
     # the benchmark tells outer from radial integrals by the quadrature depth
     # on each thread; with the transform nodes on a pool every radial span
