@@ -26,8 +26,7 @@ from .geometry import (DistanceProfile, Region, disk_region, distance_profile,
                        inside_arc_measure, make_fig2_region,
                        make_regular_polygon, pdf_disk_closed_form,
                        polygon_region, region_contains)
-from .mgf import (EulerInversionParams, euler_invert_cdf, outage_mgf,
-                  radial_kernel)
+from .mgf import EulerInversionParams, euler_invert_cdf, outage_mgf
 from .montecarlo import McEstimate, sample_uniform_in_region, simulate_outage
 from .rlpg import (omega_expectation_table, outage_disk_center,
                    outage_general_family, outage_rlpg, outage_rlpg_for_counts)
@@ -70,7 +69,6 @@ __all__ = [
     "outage_rlpg_for_counts",
     "pdf_disk_closed_form",
     "polygon_region",
-    "radial_kernel",
     "region_contains",
     "sample_uniform_in_region",
     "simulate_outage",

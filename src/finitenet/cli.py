@@ -22,8 +22,7 @@ from .errors import (InvalidParameterError, ModelInconsistencyError,
                      NumericFailure, ScenarioParseError, UnsupportedModelError)
 from .geometry import (disk_region, make_fig2_region, make_regular_polygon,
                        polygon_region)
-from .mgf import (QUADRATURE_REL_TOL, EulerInversionParams, outage_mgf,
-                  radial_kernel)
+from .mgf import QUADRATURE_REL_TOL, EulerInversionParams, outage_mgf
 from .montecarlo import simulate_outage
 from .rlpg import outage_rlpg, outage_rlpg_for_counts
 from .scenario import Scenario
@@ -396,16 +395,14 @@ def resolve_method(cfg, override=None):
     return "mgf"
 
 
-def evaluate_scenario(cfg, sc, method, kernel=None):
+def evaluate_scenario(cfg, sc, method):
     """Evaluate the scenario sc built from cfg with one engine. Returns
-    (outage, std_error); std_error is None for the non-statistical engines.
-    kernel (mgf.radial_kernel) is shared by the mgf points of one scan."""
+    (outage, std_error); std_error is None for the non-statistical engines."""
     if method == "rlpg":
         return outage_rlpg(sc).outage, None
     if method == "mgf":
         return outage_mgf(sc, params=cfg.inversion,
-                          rel_tol=cfg.quadrature_rel_tol,
-                          kernel=kernel).outage, None
+                          rel_tol=cfg.quadrature_rel_tol).outage, None
     if method == "mc":
         est = simulate_outage(sc, cfg.mc_trials, cfg.mc_seed)
         return est.outage_mean, est.std_error
@@ -492,21 +489,15 @@ def sweep_rows(cfg, variable, values, methods):
     """Evaluate every grid point with every engine, one point after another
     on the calling thread; the engines' own pools (the mgf transform nodes,
     the Monte Carlo chunks) are the only parallel work, so a sweep computes
-    on no more threads than there are CPUs. Rows come back in grid order.
-    The mgf points of a sweep over M or snr_db, which leave the radial
-    kernel unchanged, share the first point's; it fills in grid order."""
-    shared = "mgf" in methods and variable in ("M", "snr_db")
-    kernel = None
+    on no more threads than there are CPUs. Rows come back in grid order."""
     rows = []
     for value in values:
         point = apply_sweep_value(cfg, variable, value)
         sc = build_scenario(point)
-        if shared and kernel is None:
-            kernel = radial_kernel(sc, point.quadrature_rel_tol)
         row = [scenario_fingerprint(point, sc), value]
         std = None
         for meth in methods:
-            outage, err = evaluate_scenario(point, sc, meth, kernel)
+            outage, err = evaluate_scenario(point, sc, meth)
             row.append(outage)
             if meth == "mc":
                 std = err
@@ -538,36 +529,30 @@ def max_supported_interferers(cfg, sc, target, method):
         raise ScenarioParseError(f"outage target must be in (0, 1), got {target}")
     if method == "rlpg":
         hi = 64
-        while True:
-            eps = outage_rlpg_for_counts(sc, range(hi + 1))
-            if eps[0] > target:
-                return 0, eps[0], False
-            if eps[-1] > target:
-                break
+        eps = outage_rlpg_for_counts(sc, range(hi + 1))
+        while eps[0] <= target and eps[-1] <= target:
             if hi >= _MAXM_CAP:
                 raise NumericFailure(
                     f"count search exceeded {_MAXM_CAP} interferers")
             hi = min(2 * hi, _MAXM_CAP)
-        over = next(i for i, e in enumerate(eps) if e > target)
-        m_star, eps_star = _nearest_crossing(over - 1, eps[over - 1],
-                                             eps[over], target)
-        return m_star, eps_star, True
-    if method != "mgf":
+            eps = outage_rlpg_for_counts(sc, range(hi + 1))
+    elif method == "mgf":
+        eps = []
+        while not eps or eps[-1] <= target:
+            if len(eps) > _MAXM_CAP:
+                raise NumericFailure(
+                    f"count search exceeded {_MAXM_CAP} interferers")
+            eps.append(evaluate_scenario(
+                cfg, replace(sc, num_interferers=len(eps)), "mgf")[0])
+    else:
         raise ScenarioParseError(
             "the interferer-count search needs an analytic method (rlpg or mgf)")
-    kernel = radial_kernel(sc, cfg.quadrature_rel_tol)
-    prev, _ = evaluate_scenario(cfg, replace(sc, num_interferers=0), "mgf",
-                                kernel)
-    if prev > target:
-        return 0, prev, False
-    for count in range(1, _MAXM_CAP + 1):
-        eps, _ = evaluate_scenario(cfg, replace(sc, num_interferers=count),
-                                   "mgf", kernel)
-        if eps > target:
-            m_star, eps_star = _nearest_crossing(count - 1, prev, eps, target)
-            return m_star, eps_star, True
-        prev = eps
-    raise NumericFailure(f"count search exceeded {_MAXM_CAP} interferers")
+    if eps[0] > target:
+        return 0, eps[0], False
+    over = next(i for i, e in enumerate(eps) if e > target)
+    m_star, eps_star = _nearest_crossing(over - 1, eps[over - 1], eps[over],
+                                         target)
+    return m_star, eps_star, True
 
 
 # ----- CSV output -----

@@ -22,6 +22,7 @@ TWO_PI = 2.0 * math.pi
 CONTAINMENT_RTOL = 1e-12
 BREAKPOINT_DEDUP_RTOL = 1e-12
 _ZERO_DIST_RTOL = 1e-12      # below this, a side is treated as through y0
+_MAX_COORD = 1e153           # polygon products overflow past this
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,23 +63,26 @@ class DistanceProfile:
 # ----- region constructors -----
 
 def disk_region(center, radius):
-    if not (math.isfinite(radius) and radius > 0):
+    area = math.pi * radius * radius
+    if not (radius > 0 and math.isfinite(area)):
         raise InvalidParameterError(
-            f"disk radius must be positive and finite, got {radius}")
+            f"disk radius must be positive, with a finite area, got {radius}")
     c = np.array(center, dtype=float).reshape(2)
     if not np.all(np.isfinite(c)):
         raise InvalidParameterError(f"disk centre must be finite, got {c}")
     c.setflags(write=False)
-    return Region(kind="disk", area=math.pi * radius * radius,
-                  scale=float(radius), center=c, radius=float(radius))
+    return Region(kind="disk", area=area, scale=float(radius), center=c,
+                  radius=float(radius))
 
 
 def polygon_region(vertices):
     v = np.array(vertices, dtype=float)
     if v.ndim != 2 or v.shape[1] != 2 or v.shape[0] < 3:
         raise InvalidParameterError("polygon needs at least 3 planar vertices")
-    if not np.all(np.isfinite(v)):
-        raise InvalidParameterError("polygon vertices must be finite")
+    if not np.all(np.abs(v) < _MAX_COORD):
+        raise InvalidParameterError(
+            f"polygon vertices must be finite and within {_MAX_COORD:.0e} of "
+            "the origin, for a finite area")
     edges = np.roll(v, -1, axis=0) - v
     scale = float(np.hypot(edges[:, 0], edges[:, 1]).max())
     cross = edges[:, 0] * np.roll(edges, -1, axis=0)[:, 1] \

@@ -8,6 +8,7 @@ node.
 """
 
 import math
+import threading
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -210,13 +211,15 @@ def _kernel_key(scenario, inner_rel):
             scenario.alpha, inner_rel)
 
 
-def _array_memo(fn, dtype):
+def _array_memo(fn, dtype, sizes):
     """fn of one array, each result computed once per argument array (its
-    shape and bytes as the given dtype) and stored read-only.
+    shape and bytes as the given dtype) and stored read-only; each array
+    stored appends its bytes and its result's (as large) to the list sizes.
 
     Threads share the table: the first to miss on an array computes it and
     the others wait for that result, or its exception. A hit reads the
-    stored result and builds nothing.
+    stored result and builds nothing. An exception is not stored, so a
+    later call computes the array again.
     """
     memo = {}
 
@@ -231,8 +234,10 @@ def _array_memo(fn, dtype):
                 try:
                     vals = np.asarray(fn(x))
                     vals.setflags(write=False)
+                    sizes.append(2 * x.nbytes)
                     mine.set_result(vals)
                 except BaseException as exc:
+                    del memo[key]
                     mine.set_exception(exc)
         return done.result()
 
@@ -240,42 +245,47 @@ def _array_memo(fn, dtype):
 
 
 class _RadialKernel:
-    """The radial kernel rows of one distance profile, interferer shape m,
-    path-loss exponent and inner tolerance, each q batch computed once.
-
-    The rows depend on nothing else: the interferer count M and the SNR
-    rho0 leave them unchanged, and r0 and s enter through q. So every
-    outage_mgf call that differs only in M, rho0, r0, beta or the inversion
-    parameters can share one kernel, and a batch it has seen comes back
-    bit-identical without another radial integral. Both the q batches and
-    the distance pdf's abscissa arrays go through _array_memo, so threads
-    share them as it says; the pdf is tabulated because every batch
-    evaluates it on the same breakpoint panels and dyadic bisections.
-
-    Batches are memoised whole, by their bytes: the adaptive quadrature
-    refines all rows of a batch together, so a row's value depends on the
-    batch it came in.
+    """The radial kernel rows of one _kernel_key (distance profile, m,
+    alpha, inner tolerance), each q batch computed once: M, rho0 and m0 do
+    not enter the rows, and r0, beta and s enter through q. The q batches
+    and the pdf's abscissa arrays (every batch evaluates the pdf on the same
+    panels and bisections) go through _array_memo. Batches are memoised
+    whole, by their bytes: the adaptive quadrature refines a batch's rows
+    together, so a row's value depends on the batch it came in.
     """
 
     def __init__(self, scenario, inner_rel):
         self.key = _kernel_key(scenario, inner_rel)
+        self.sizes = []
         prof = scenario.profile()
-        self._profile = prof = replace(prof, pdf=_array_memo(prof.pdf, float))
+        self._profile = prof = replace(
+            prof, pdf=_array_memo(prof.pdf, float, self.sizes))
         m, alpha = scenario.channel.m, scenario.alpha
         self.rows = _array_memo(
             lambda q: _radial_mixture_rows(prof, m, alpha, q, inner_rel),
-            complex)
+            complex, self.sizes)
 
 
-def radial_kernel(scenario, rel_tol=QUADRATURE_REL_TOL):
-    """A radial kernel for outage_mgf(..., rel_tol=rel_tol, kernel=...) on
-    this scenario and on any copy of it with another num_interferers, rho0,
-    r0 or beta. Reusing it changes no number; it only skips the radial
-    integrals an earlier call already did, which a scan over
-    num_interferers or rho0 repeats most of. It holds every batch it has
-    computed, so keep it for one scan, not for the whole program.
-    """
-    return _RadialKernel(scenario, _inner_rel_tol(rel_tol))
+# The process holds one radial kernel, which every outage_mgf call on its
+# key shares; a call on another key, or one that finds the kernel's memo
+# past _KERNEL_BUDGET bytes of arrays, replaces it. A point stores about
+# 0.25 MB of arrays (0.5 MB with the table's objects), so about 30 points.
+_KERNEL_BUDGET = 8 << 20
+_KERNEL_LOCK = threading.Lock()
+_held_kernel = None
+
+
+def _shared_kernel(scenario, rel_tol):
+    """The held kernel, or a new one built after the old one is let go."""
+    global _held_kernel
+    inner_rel = _inner_rel_tol(rel_tol)
+    with _KERNEL_LOCK:
+        kernel = _held_kernel
+        if (kernel is None or kernel.key != _kernel_key(scenario, inner_rel)
+                or sum(kernel.sizes) > _KERNEL_BUDGET):
+            _held_kernel = kernel = None
+            _held_kernel = kernel = _RadialKernel(scenario, inner_rel)
+        return kernel
 
 
 def _sample_nodes(transform, svals):
@@ -295,43 +305,29 @@ def _sample_nodes(transform, svals):
     return out
 
 
-def outage_mgf(scenario, params=None, rel_tol=QUADRATURE_REL_TOL, *,
-               kernel=None):
+def outage_mgf(scenario, params=None, rel_tol=QUADRATURE_REL_TOL):
     """Outage probability by inverting the Laplace transform of the
-    noise-plus-interference functional at 1/beta.
+    noise-plus-interference functional at 1/beta; any shapes m0, m >= 0.5.
 
-    Valid for any fading shapes m0, m >= 0.5. Each Bromwich node needs one
-    outer integral over the reference gain (substituted onto (0,1), where
-    the integrand vanishes at both ends) whose integrand carries the M-th
-    power of the inner distance expectation; inner values are computed for
-    all outer nodes of a panel batch in one vectorized call. The nodes'
-    outer integrals run on a pool as wide as the CPUs the process may use
-    (_sample_nodes); the result is bit-identical for any width.
+    Each Bromwich node needs one outer integral over the reference gain
+    (substituted onto (0,1)) whose integrand carries the M-th power of the
+    radial kernel row, computed for all outer nodes of a panel batch at
+    once. The nodes run on _sample_nodes' pool, bit-identical for any width.
+    The rows come from the process's held kernel (_shared_kernel), so calls
+    that differ only in M, rho0, r0, beta, m0 or the inversion skip the
+    batches an earlier one computed, and no number changes.
 
-    The reported abs_error 10^{-digits} is what the inversion aims at, not a
-    bound: an accepted sum can be off by about e^{-A/2} (see
-    EulerInversionParams). A sum that does not settle is retried on more
-    nodes, each one more outer integral, and then raises NumericFailure, as
-    in euler_invert_cdf.
-
-    ``kernel`` (from radial_kernel) lets a scan over M or rho0 share the
-    radial integrals; by default each call builds its own. A kernel built
-    for another region, receiver, m, alpha or inner tolerance raises
-    InvalidParameterError.
+    abs_error is the inversion's aim 10^{-digits}, not a bound (see
+    EulerInversionParams). An unsettled sum or a path loss r^alpha that
+    overflows raises NumericFailure.
     """
     if params is None:
         params = EulerInversionParams()
-    if kernel is None:
-        kernel = radial_kernel(scenario, rel_tol)
-    elif kernel.key != _kernel_key(scenario, _inner_rel_tol(rel_tol)):
-        raise InvalidParameterError(
-            "radial kernel was built for another region, receiver, m, alpha "
-            "or rel_tol")
-    m0 = scenario.channel.m0
-    alpha = scenario.alpha
-    r0 = scenario.r0
+    kernel = _shared_kernel(scenario, rel_tol)
+    scenario.check_path_loss(kernel._profile.r_max)
+    m0, rho0 = scenario.channel.m0, scenario.rho0
     num_interferers = scenario.num_interferers
-    rho0 = scenario.rho0
+    r0_alpha = scenario.r0 ** scenario.alpha
     z = 1.0 / scenario.beta
 
     u_breaks = tuple(g / (1.0 + g) for g in _G0_KNOTS)
@@ -346,7 +342,7 @@ def outage_mgf(scenario, params=None, rel_tol=QUADRATURE_REL_TOL, *,
                     - lgamma_m0 - 2.0 * np.log1p(-u))
             vals = np.exp(logw - s / (rho0 * g0))
             if num_interferers:
-                q = (r0 ** alpha) * s / g0
+                q = r0_alpha * s / g0
                 inner = kernel.rows(q)
                 vals = vals * inner ** num_interferers
             return vals[None, :]

@@ -55,7 +55,7 @@ def _constant_piece(theta, hi, t, m, alpha, c, area):
     """Moment contribution of the constant-angle piece [0, hi] (density
     theta*r/area there), for a real or complex tilt c with Re c >= 0, as a
     complex number: the Gauss hypergeometric closed form. Raises
-    NumericFailure if the hypergeometric evaluation fails."""
+    NumericFailure if the hypergeometric evaluation or its weight fails."""
     if hi <= 0.0:
         return 0j
     am = alpha * m
@@ -65,7 +65,10 @@ def _constant_piece(theta, hi, t, m, alpha, c, area):
     log_c = complex(math.log(abs(c)), cmath.phase(c))
     logw = (ln_gamma(m + t) - ln_gamma(m) + m * math.log(m)
             + (2.0 + am) * math.log(hi) - (m + t) * log_c)
-    return theta / (area * (2.0 + am)) * cmath.exp(logw) * f21
+    try:
+        return theta / (area * (2.0 + am)) * cmath.exp(logw) * f21
+    except OverflowError:   # at a huge hi; the quadrature takes over
+        raise NumericFailure(f"closed-form weight overflows at {hi}") from None
 
 
 def _omega_values(profile, ts, m, alpha, c):
@@ -106,6 +109,7 @@ def _omega_values(profile, ts, m, alpha, c):
 def _moment_values(profile, scenario, rate, count):
     """E{Omega_t} for t < count at the tilt c = rate * beta * r0^alpha,
     checked positive and finite."""
+    scenario.check_path_loss(profile.r_max)
     c = scenario.beta * scenario.r0 ** scenario.alpha * rate
     vals = _omega_values(profile, range(count), scenario.channel.m,
                          scenario.alpha, c)

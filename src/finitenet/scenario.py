@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import MAX_WHOLE, NakagamiChannel, _is_whole
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, NumericFailure
 from .geometry import Region, distance_profile, region_contains
 
 ALPHA_MIN = 2.0
@@ -82,6 +82,18 @@ class Scenario:
 
     def profile(self):
         return distance_profile(self.region, self.receiver)
+
+    def check_path_loss(self, r_max):
+        """Raise NumericFailure where the path loss as the engines form it,
+        m r^alpha (m > 1 the interferer shape), overflows at r0 or r_max."""
+        far = float(max(self.r0, r_max))
+        try:
+            loss = max(self.channel.m, 1.0) * far ** self.alpha
+        except OverflowError:
+            loss = math.inf
+        if loss == math.inf:
+            raise NumericFailure(
+                f"path loss m r^alpha overflows at r = {far:.6g}")
 
 
 @dataclass(frozen=True)

@@ -119,7 +119,7 @@ def test_inversion_parsing():
 
 def test_quadrature_tolerance_defaults_to_the_mgf_constant():
     # a missing and a null quadrature_rel_tol both mean the one default,
-    # which is also the default of the engine and of its radial kernel
+    # which is also the default of the engine and of the kernel it holds
     import inspect
 
     assert parse_scenario_config(_base_raw()).quadrature_rel_tol \
@@ -128,9 +128,14 @@ def test_quadrature_tolerance_defaults_to_the_mgf_constant():
         .quadrature_rel_tol == mgf.QUADRATURE_REL_TOL
     assert parse_scenario_config(_base_raw(quadrature_rel_tol=1e-8)) \
         .quadrature_rel_tol == 1e-8
-    for fn in (outage_mgf, mgf.radial_kernel):
-        default = inspect.signature(fn).parameters["rel_tol"].default
-        assert default == mgf.QUADRATURE_REL_TOL, fn
+    default = inspect.signature(outage_mgf).parameters["rel_tol"].default
+    assert default == mgf.QUADRATURE_REL_TOL
+    # a default call holds a kernel keyed on that tolerance (with M = 0
+    # the call computes no radial integral)
+    sc = build_scenario(parse_scenario_config(_base_raw(M=0)))
+    outage_mgf(sc)
+    assert mgf._held_kernel.key == mgf._kernel_key(
+        sc, mgf._inner_rel_tol(mgf.QUADRATURE_REL_TOL))
 
 
 _FIG2 = {"type": "fig2", "params": {"width": 100.0}}
@@ -378,6 +383,48 @@ def test_non_finite_geometry_is_exit_two(tmp_path, capsys):
                 assert "finite" in capsys.readouterr().err
 
 
+def test_huge_finite_geometry_is_refused_not_misread(tmp_path, capsys):
+    # a disk of radius 1e78 or 1e100 has a finite area, but r^alpha
+    # overflows at alpha = 4 (at 1e77, m r^alpha does for m = 2.5): both
+    # analytic engines exit 3 rather than read the far interferers as
+    # silent (an outage of 1) or crash. At 1e200 the area itself overflows
+    # and every engine exits 2. The engines that need no path loss at the
+    # rim keep their numbers at 1e100, and at 1e40, where the closed form's
+    # weight overflows, the series engine's quadrature gives the noise-only
+    # outage.
+    def run(radius, method, m=1):
+        raw = _base_raw(region={"type": "disk", "params": {"radius": radius}},
+                        m=m, mc={"trials": 4000})
+        out = tmp_path / "o.csv"
+        rc = main(["run", "--scenario", _write(tmp_path, raw), "--out",
+                   str(out), "--method", method])
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        return rc, err, out
+
+    for radius, m in ((1e77, 2.5), (1e78, 1), (1e100, 1)):
+        for method in ("rlpg", "mgf"):
+            rc, err, _ = run(radius, method, m)
+            assert rc == 3 and "path loss" in err, (radius, method)
+    for method in ("rlpg", "mgf", "mc", "ppp"):
+        rc, err, _ = run(1e200, method)
+        assert rc == 2 and "finite area" in err, method
+    noise_only = -math.expm1(-1.0 / 100.0)
+    rc, _, out = run(1e100, "ppp")
+    assert rc == 0
+    row = dict(zip(RUN_HEADER, _read_csv(str(out))[1]))
+    assert float(row["outage"]) == float(format(noise_only, ".12g"))
+    rc, _, out = run(1e100, "mc")
+    assert rc == 0
+    row = dict(zip(RUN_HEADER, _read_csv(str(out))[1]))
+    assert abs(float(row["outage"]) - noise_only) \
+        <= 3.0 * float(row["std_error"])
+    rc, _, out = run(1e40, "rlpg", 2.5)
+    assert rc == 0
+    row = dict(zip(RUN_HEADER, _read_csv(str(out))[1]))
+    assert abs(float(row["outage"]) - noise_only) < 1e-9
+
+
 def test_fingerprint_ignores_evaluation_knobs():
     def fingerprint(cfg):
         return scenario_fingerprint(cfg, build_scenario(cfg))
@@ -474,8 +521,8 @@ def test_geometry_built_once_per_row(tmp_path, monkeypatch):
     assert main(["maxm", "--scenario", path, "--out", out,
                  "--target", "0.05"]) == 0
     assert len(calls) == 1
-    # the mgf points of a sweep over M share the first point's kernel,
-    # built from that point's own scenario
+    # the mgf points of a sweep over M share the engine's held kernel,
+    # which builds no region of its own
     calls.clear()
     path = _write(tmp_path, _mgf_rim_raw())
     assert main(["sweep", "--scenario", path, "--out", out, "--variable",
@@ -748,9 +795,9 @@ def test_mgf_maxm_shares_one_radial_kernel(tmp_path, monkeypatch):
     cfg = parse_scenario_config(raw)
     sc = build_scenario(cfg)
     batches.clear()
-    eps = [outage_mgf(replace(sc, num_interferers=0), params=cfg.inversion,
-                      rel_tol=1e-8).outage]
-    while eps[-1] <= target:
+    eps = []
+    while not eps or eps[-1] <= target:
+        mgf._held_kernel = None
         eps.append(outage_mgf(replace(sc, num_interferers=len(eps)),
                               params=cfg.inversion, rel_tol=1e-8).outage)
     assert len(eps) == 4
@@ -762,6 +809,53 @@ def test_mgf_maxm_shares_one_radial_kernel(tmp_path, monkeypatch):
                    eps_star, True]], str(expected), MAXM_HEADER)
     assert out.read_bytes() == expected.read_bytes()
     assert 2 * shared <= len(batches)
+
+
+def test_mgf_beta_sweep_shares_the_held_kernel(tmp_path, monkeypatch):
+    # beta_db keeps the kernel's key, so the points of a beta sweep share
+    # one kernel with no code asking for it, and give the bytes of points
+    # evaluated each with the slot emptied. beta scales every q (the
+    # Bromwich nodes are s = beta (A + 2 pi i c) / 2), so no radial batch
+    # repeats: what the points share is the kernel's tabulated pdf.
+    raw = _mgf_rim_raw()
+    batches = _radial_batches(monkeypatch)
+    profiles, radii = [], []
+    build = scenario_module.distance_profile
+
+    def counting_profile(region, receiver):
+        prof = build(region, receiver)
+        profiles.append(prof)
+
+        def pdf(r):
+            radii.append(r.size)
+            return prof.pdf(r)
+
+        return replace(prof, pdf=pdf)
+
+    monkeypatch.setattr(scenario_module, "distance_profile",
+                        counting_profile)
+    values = (0.0, 3.0)
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--scenario", _write(tmp_path, raw), "--out",
+                 str(out), "--variable", "beta_db", "--values", "0,3",
+                 "--method", "mgf"]) == 0
+    shared = (len(profiles), sum(radii), len(batches))
+    cfg = parse_scenario_config(raw)
+    rows = []
+    for log in (profiles, radii, batches):
+        log.clear()
+    for value in values:
+        mgf._held_kernel = None
+        point = apply_sweep_value(cfg, "beta_db", value)
+        sc = build_scenario(point)
+        rows.append([scenario_fingerprint(point, sc), value,
+                     evaluate_scenario(point, sc, "mgf")[0]])
+    expected = tmp_path / "expected.csv"
+    cli.emit_csv(rows, str(expected), ["scenario", "beta_db", "outage_mgf"])
+    assert out.read_bytes() == expected.read_bytes()
+    assert shared[0] == 1 and len(profiles) == len(values)
+    assert shared[1] < sum(radii)
+    assert shared[2] == len(batches)
 
 
 def test_mgf_snr_sweep_computes_each_radial_batch_once(monkeypatch):

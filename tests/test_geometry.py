@@ -95,6 +95,15 @@ def test_constructor_validation():
                       lambda: make_fig2_region(bad)):
             with pytest.raises(InvalidParameterError):
                 build()
+    # sizes whose area overflows are refused for it, with no overflow
+    # warning and no blame on the polygon's convexity
+    for huge in (1e160, 1e200, 1e300):
+        for build in (lambda: disk_region((0, 0), huge),
+                      lambda: polygon_region([(0, 0), (huge, 0), (0, huge)]),
+                      lambda: make_regular_polygon(6, huge),
+                      lambda: make_fig2_region(huge)):
+            with pytest.raises(InvalidParameterError, match="finite area"):
+                build()
 
 
 def test_reference_point_validation():

@@ -4,6 +4,7 @@ integer-shape engine and Monte Carlo."""
 
 import math
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,8 +14,7 @@ import finitenet.scenario as scenario_module
 from finitenet import (EulerInversionParams, InvalidParameterError,
                        NakagamiChannel, NumericFailure, Scenario, disk_region,
                        distance_profile, euler_invert_cdf, make_fig2_region,
-                       outage_mgf, outage_rlpg, radial_kernel,
-                       simulate_outage)
+                       outage_mgf, outage_rlpg, simulate_outage)
 from finitenet.mgf import _radial_mixture_rows
 from finitenet.rlpg import _constant_piece
 from scipy import special as sp
@@ -385,25 +385,35 @@ def test_outage_result_reports_accuracy_target():
     assert abs(res.abs_error - 1e-8) < 1e-20
 
 
-def test_outage_refuses_a_kernel_built_for_another_scenario():
+def test_held_kernel_is_shared_by_its_key_only():
     disk = disk_region((0, 0), 100.0)
-    sc = _scenario(disk, (50.0, 0.0), m0=1.5, m=2.0, M=0)
-    kernel = radial_kernel(sc)
-    # another m0, r0, beta or rho0 on an equal region built again shares it
+    sc = _scenario(disk, (50.0, 0.0), m0=1.5, m=2.0, M=1)
+    outage_mgf(sc, rel_tol=1e-6)
+    kernel = mgf._held_kernel
+    # another M, rho0, r0, beta, m0 or inversion on an equal region built
+    # again reuses the held kernel, and gives the number a fresh one gives
     same = _scenario(disk_region((0, 0), 100.0), (50.0, 0.0), m0=3.0, m=2.0,
-                     M=0, r0=7.0, beta=2.0, rho0=10.0)
-    assert outage_mgf(same, kernel=kernel).outage == outage_mgf(same).outage
+                     M=2, r0=7.0, beta=2.0, rho0=10.0)
+    params = EulerInversionParams.from_accuracy_digits(6)
+    shared = outage_mgf(same, params=params, rel_tol=1e-6).outage
+    assert mgf._held_kernel is kernel
+    mgf._held_kernel = None
+    assert outage_mgf(same, params=params, rel_tol=1e-6).outage == shared
+    assert mgf._held_kernel is not kernel
+    # another region, receiver, m, alpha or rel_tol builds a new kernel
     others = [
-        (_scenario(disk, (40.0, 0.0), m0=1.5, m=2.0, M=0), 1e-10),
-        (_scenario(disk_region((0, 0), 90.0), (50.0, 0.0), m0=1.5, m=2.0,
-                   M=0), 1e-10),
-        (_scenario(disk, (50.0, 0.0), m0=1.5, m=2.5, M=0), 1e-10),
-        (_scenario(disk, (50.0, 0.0), m0=1.5, m=2.0, alpha=4.0, M=0), 1e-10),
+        (_scenario(disk, (40.0, 0.0), m0=1.5, m=2.0), 1e-6),
+        (_scenario(disk_region((0, 0), 90.0), (50.0, 0.0), m0=1.5, m=2.0),
+         1e-6),
+        (_scenario(disk, (50.0, 0.0), m0=1.5, m=2.5), 1e-6),
+        (_scenario(disk, (50.0, 0.0), m0=1.5, m=2.0, alpha=4.0), 1e-6),
         (sc, 1e-12),
     ]
     for other, rel_tol in others:
-        with pytest.raises(InvalidParameterError, match="radial kernel"):
-            outage_mgf(other, rel_tol=rel_tol, kernel=kernel)
+        held = mgf._shared_kernel(sc, 1e-6)
+        built = mgf._shared_kernel(other, rel_tol)
+        assert built is not held and mgf._held_kernel is built
+        assert mgf._shared_kernel(other, rel_tol) is built
 
 
 def _slow_kernel_rows(monkeypatch, calls):
@@ -416,8 +426,9 @@ def _slow_kernel_rows(monkeypatch, calls):
         return 2.0 * q
 
     monkeypatch.setattr(mgf, "_radial_mixture_rows", slow_rows)
-    kernel = radial_kernel(_scenario(disk_region((0, 0), 100.0), (50.0, 0.0),
-                                     m0=1.0, m=1.0))
+    kernel = mgf._shared_kernel(_scenario(disk_region((0, 0), 100.0),
+                                          (50.0, 0.0), m0=1.0, m=1.0),
+                                mgf.QUADRATURE_REL_TOL)
     batches = [np.arange(k, k + 15, dtype=complex) for k in range(20)]
     return kernel.rows, batches, lambda q: 2.0 * q
 
@@ -426,7 +437,6 @@ def _slow_kernel_pdf(monkeypatch, calls):
     """A radial kernel's tabulated pdf over a profile whose pdf is logged
     and slow."""
     import time
-    from dataclasses import replace
 
     build = scenario_module.distance_profile
 
@@ -443,7 +453,8 @@ def _slow_kernel_pdf(monkeypatch, calls):
     monkeypatch.setattr(scenario_module, "distance_profile", slow_profile)
     fig2 = make_fig2_region(100.0)
     prof = build(fig2, (60.0, 20.0))
-    kernel = radial_kernel(_scenario(fig2, (60.0, 20.0), m0=1.0, m=1.0))
+    kernel = mgf._shared_kernel(_scenario(fig2, (60.0, 20.0), m0=1.0, m=1.0),
+                                mgf.QUADRATURE_REL_TOL)
     radii = [np.linspace(0.5 * k, prof.r_max, 60) for k in range(1, 21)]
     return kernel._profile.pdf, radii, prof.pdf
 
@@ -511,6 +522,7 @@ def test_node_pool_width_changes_no_bit(monkeypatch):
         got = {}
         for width in (1, 2, 4):
             monkeypatch.setattr(scenario_module, "_CPU_WORKERS", width)
+            mgf._held_kernel = None   # each width computes anew
             outer.clear()
             got[width] = outage_mgf(sc, params=params, rel_tol=1e-6).outage
             nodes = len(outer)
@@ -537,6 +549,7 @@ def test_failure_in_a_pool_node_stops_the_pool(monkeypatch):
     outage_mgf(_pool_scenarios()[0], rel_tol=1e-6)
     state["full"] = len(calls)
     calls.clear()
+    mgf._held_kernel = None   # the next call computes anew
     baseline = threading.active_count()
     with pytest.raises(NumericFailure, match="synthetic failure in a later"):
         outage_mgf(_pool_scenarios()[0], rel_tol=1e-6)
@@ -548,8 +561,6 @@ def test_failure_in_a_pool_node_stops_the_pool(monkeypatch):
 
 
 def test_radial_pdf_is_tabulated_once_per_abscissa_array(monkeypatch):
-    from dataclasses import replace
-
     evaluated = []
     profiles = []
     build = scenario_module.distance_profile
@@ -571,8 +582,8 @@ def test_radial_pdf_is_tabulated_once_per_abscissa_array(monkeypatch):
     # test_radial_kernel_computes_each_batch_once_across_threads)
     monkeypatch.setattr(scenario_module, "_CPU_WORKERS", 2)
     sc = _pool_scenarios()[1]
-    kernel = radial_kernel(sc, rel_tol=1e-6)
-    outage_mgf(sc, rel_tol=1e-6, kernel=kernel)
+    outage_mgf(sc, rel_tol=1e-6)
+    kernel = mgf._held_kernel
     keys = [(r.shape, r.tobytes()) for r in evaluated]
     assert len(profiles) == 1 and evaluated
     assert len(keys) == len(set(keys))
@@ -586,6 +597,84 @@ def test_radial_pdf_is_tabulated_once_per_abscissa_array(monkeypatch):
     assert len(evaluated) == len(keys)
 
 
+def test_threads_thrashing_the_kernel_slot_match_serial_calls(monkeypatch):
+    # two threads alternate between two geometries, so each call finds the
+    # other's kernel held and replaces it; every number stays the serial one
+    scs = _pool_scenarios()
+    serial = []
+    for sc in scs:
+        mgf._held_kernel = None
+        serial.append(outage_mgf(sc, rel_tol=1e-6).outage)
+    built = []
+    kernel_class = mgf._RadialKernel
+
+    def counted(*args):
+        built.append(1)
+        return kernel_class(*args)
+
+    monkeypatch.setattr(mgf, "_RadialKernel", counted)
+    results = {}
+
+    def alternate(first):
+        results[first] = [outage_mgf(scs[(first + k) % 2], rel_tol=1e-6).outage
+                          for k in range(4)]
+
+    threads = [threading.Thread(target=alternate, args=(i,)) for i in (0, 1)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert results[0] == serial * 2 and results[1] == serial[::-1] * 2
+    assert len(built) >= 4
+
+
+def test_kernel_over_budget_restarts_with_the_same_numbers(monkeypatch):
+    sc = _pool_scenarios()[0]
+    counts = (1, 2, 3)
+
+    def scan():
+        held = []
+        for count in counts:
+            out = outage_mgf(replace(sc, num_interferers=count),
+                             rel_tol=1e-6).outage
+            held.append((out, mgf._held_kernel))
+        return held
+
+    within = scan()
+    assert len({id(k) for _, k in within}) == 1
+    mgf._held_kernel = None
+    monkeypatch.setattr(mgf, "_KERNEL_BUDGET", 1)
+    over = scan()
+    assert len({id(k) for _, k in over}) == len(counts)
+    assert [v for v, _ in over] == [v for v, _ in within]
+
+
+def test_failed_batch_is_not_kept_for_the_next_call(monkeypatch):
+    # an interrupted radial batch leaves no stored exception in the held
+    # kernel: the next call on the key computes it and gets the fresh number
+    class Interrupted(BaseException):
+        pass
+
+    rows = mgf._radial_mixture_rows
+    failing = [True]
+
+    def interrupted(profile, m, alpha, q, rel_tol):
+        if failing[0]:
+            raise Interrupted
+        return rows(profile, m, alpha, q, rel_tol)
+
+    monkeypatch.setattr(mgf, "_radial_mixture_rows", interrupted)
+    sc = _pool_scenarios()[0]
+    with pytest.raises(Interrupted):
+        outage_mgf(sc, rel_tol=1e-6)
+    kernel = mgf._held_kernel
+    failing[0] = False
+    got = outage_mgf(sc, rel_tol=1e-6).outage
+    assert mgf._held_kernel is kernel
+    mgf._held_kernel = None
+    assert got == outage_mgf(sc, rel_tol=1e-6).outage
+
+
 def test_radial_pdf_table_hands_every_thread_the_first_array():
     import sys
     import time
@@ -597,7 +686,7 @@ def test_radial_pdf_table_hands_every_thread_the_first_array():
         time.sleep(1e-3)
         return prof.pdf(r)
 
-    tabled = mgf._array_memo(slow_pdf, float)
+    tabled = mgf._array_memo(slow_pdf, float, [])
     radii = [np.linspace(0.5 * k, prof.r_max, 60) for k in range(1, 21)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
