@@ -8,6 +8,7 @@ byte-stable for fixed inputs so they can serve as regression artifacts.
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import math
@@ -23,7 +24,7 @@ from .errors import (InvalidParameterError, ModelInconsistencyError,
 from .geometry import (disk_region, make_fig2_region, make_regular_polygon,
                        polygon_region)
 from .mgf import QUADRATURE_REL_TOL, EulerInversionParams, outage_mgf
-from .montecarlo import simulate_outage
+from .montecarlo import _estimate_outages, _outage_trials, simulate_outage
 from .rlpg import outage_rlpg, outage_rlpg_for_counts
 from .scenario import Scenario
 
@@ -489,21 +490,28 @@ def sweep_rows(cfg, variable, values, methods):
     """Evaluate every grid point with every engine, one point after another
     on the calling thread; the engines' own pools (the mgf transform nodes,
     the Monte Carlo chunks) are the only parallel work, so a sweep computes
-    on no more threads than there are CPUs. Rows come back in grid order."""
+    on no more threads than there are CPUs. The Monte Carlo points are
+    validated in turn and then estimated together, with the chunks of all
+    of them on one pool, so points of fewer chunks than CPUs leave no CPU
+    idle. Rows come back in grid order."""
     rows = []
+    mc_runs = []
     for value in values:
         point = apply_sweep_value(cfg, variable, value)
         sc = build_scenario(point)
         row = [scenario_fingerprint(point, sc), value]
-        std = None
         for meth in methods:
-            outage, err = evaluate_scenario(point, sc, meth)
-            row.append(outage)
             if meth == "mc":
-                std = err
-        if "mc" in methods:
-            row.append(std)
+                mc_runs.append((row, len(row), _outage_trials(
+                    sc, point.mc_trials, point.mc_seed)))
+                row.append(None)
+            else:
+                row.append(evaluate_scenario(point, sc, meth)[0])
         rows.append(row)
+    estimates = _estimate_outages([run for _, _, run in mc_runs])
+    for (row, col, _), est in zip(mc_runs, estimates):
+        row[col] = est.outage_mean
+        row.append(est.std_error)
     return rows
 
 
@@ -672,8 +680,14 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """The parser of main, built on its first call and kept."""
+    return build_parser()
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except NumericFailure as exc:

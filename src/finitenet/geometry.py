@@ -22,7 +22,9 @@ TWO_PI = 2.0 * math.pi
 CONTAINMENT_RTOL = 1e-12
 BREAKPOINT_DEDUP_RTOL = 1e-12
 _ZERO_DIST_RTOL = 1e-12      # below this, a side is treated as through y0
-_MAX_COORD = 1e153           # polygon products overflow past this
+# polygon products, and the squared offsets of Monte Carlo, overflow past
+# this coordinate
+_MAX_COORD = 1e153
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,9 +69,14 @@ def disk_region(center, radius):
     if not (radius > 0 and math.isfinite(area)):
         raise InvalidParameterError(
             f"disk radius must be positive, with a finite area, got {radius}")
+    if not radius < _MAX_COORD:
+        raise InvalidParameterError(
+            f"disk radius must be below {_MAX_COORD:.0e}, got {radius}")
     c = np.array(center, dtype=float).reshape(2)
-    if not np.all(np.isfinite(c)):
-        raise InvalidParameterError(f"disk centre must be finite, got {c}")
+    if not np.all(np.abs(c) < _MAX_COORD):
+        raise InvalidParameterError(
+            f"disk centre must be finite and within {_MAX_COORD:.0e} of the "
+            f"origin, got {c}")
     c.setflags(write=False)
     return Region(kind="disk", area=area, scale=float(radius), center=c,
                   radius=float(radius))

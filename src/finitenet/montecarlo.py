@@ -3,7 +3,16 @@
 Trials are processed in fixed-size chunks, each driven by a counter-based
 generator keyed on (seed, chunk index). Chunk results are combined in chunk
 order, so the estimate is bit-identical no matter how many worker threads
-run the chunks.
+run the chunks. Several estimates (the Monte Carlo points of a sweep) can
+share one pool of chunks.
+
+A chunk places its interferers exactly (see sample_uniform_in_region) and
+forms each path loss from the squared offsets, (dx^2 + dy^2)^(-alpha/2),
+then reduces gain times loss to each trial's interference in one pass.
+Region coordinates stay below geometry._MAX_COORD, so no squared offset
+overflows. Wherever |x - y0|^-alpha is finite, the loss differs from it by
+a few ulps at most, so a trial's outage can differ from the distance
+formulas only where its SINR lies within a few ulps of the threshold.
 """
 
 import math
@@ -11,6 +20,8 @@ import numbers
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
+from itertools import islice
 
 import numpy as np
 
@@ -70,21 +81,20 @@ def _chunk_spans(trials):
             for idx, start in enumerate(range(0, trials, CHUNK_TRIALS))]
 
 
-def _map_chunks(chunk, trials, workers):
-    """[chunk(idx, n) for each chunk of `trials`], in chunk order, on a pool
-    of up to `workers` threads; at width 1 they run on the calling thread.
-    Every chunk body holds _LIVE_CHUNKS."""
-    spans = _chunk_spans(trials)
-    width = min(workers, len(spans))
+def _map_chunks(calls, workers):
+    """[call() for call in calls], in order, on a pool of up to `workers`
+    threads; at width 1 they run on the calling thread. Every call is one
+    chunk body and holds _LIVE_CHUNKS."""
+    width = min(workers, len(calls))
 
-    def bounded(span):
+    def bounded(call):
         with _LIVE_CHUNKS:
-            return chunk(*span)
+            return call()
 
-    if width == 1:
-        return [bounded(span) for span in spans]
+    if width <= 1:
+        return [bounded(call) for call in calls]
     with ThreadPoolExecutor(max_workers=width) as pool:
-        return list(pool.map(bounded, spans))
+        return list(pool.map(bounded, calls))
 
 
 def sample_uniform_in_region(region, rng, size=None):
@@ -136,22 +146,20 @@ def sample_uniform_in_region(region, rng, size=None):
     return pts[0] if size is None else pts
 
 
-def simulate_outage(scenario, trials, seed, workers=None):
-    """Estimate the outage probability from `trials` independent network
-    realizations: per trial draw the interferer positions and all gains,
-    form the SINR and count threshold crossings.
-
-    The trials run in chunks on a pool of `workers` threads, by default one
-    per CPU the process may use; the estimate is bit-identical for any
-    width."""
+def _outage_trials(scenario, trials, seed):
+    """One estimate's validated inputs, (chunk, trials, seed), where
+    chunk(idx, n) counts the outages among the n trials of chunk idx: per
+    trial it draws the interferer positions and all gains, forms the SINR
+    and compares it with the threshold. Raises NumericFailure where the
+    reference path loss r0^alpha overflows."""
     trials = _check_trials(trials)
     seed = _check_seed(seed)
-    workers = _check_workers(workers)
+    scenario.check_path_loss(scenario.r0)
     y0 = scenario.receiver
     m0 = scenario.channel.m0
     m = scenario.channel.m
     num = scenario.num_interferers
-    alpha = scenario.alpha
+    half_alpha = 0.5 * scenario.alpha
     beta = scenario.beta
     noise = 1.0 / scenario.rho0
     r0a = scenario.r0 ** scenario.alpha
@@ -161,22 +169,51 @@ def simulate_outage(scenario, trials, seed, workers=None):
         rng = _rng_for_chunk(seed, idx)
         g0 = rng.gamma(m0, 1.0 / m0, n)
         if num:
-            # sum over interferers of gain * |x - y0|^-alpha, in place
+            # sum over interferers of gain * (dx^2 + dy^2)^(-alpha/2), with
+            # the losses formed in place in the position buffer
             dx, dy = sample_uniform_in_region(region, rng, size=n * num).T
             dx -= y0[0]
             dy -= y0[1]
-            dist = np.hypot(dx, dy, out=dx).reshape(n, num)
-            np.power(dist, -alpha, out=dist)
+            dx *= dx
+            dy *= dy
+            dx += dy
+            loss = np.power(dx, -half_alpha, out=dx).reshape(n, num)
             gains = rng.gamma(m, 1.0 / m, (n, num))
-            gains *= dist
-            sinr = g0 / (noise + r0a * gains.sum(axis=1))
+            sinr = g0 / (noise + r0a * np.einsum("ij,ij->i", gains, loss))
         else:
             # a noiseless link (noise 0) never fails without interferers
             with np.errstate(divide="ignore"):
                 sinr = g0 / noise
         return int(np.count_nonzero(sinr < beta))
 
-    p = sum(_map_chunks(chunk_count, trials, workers)) / trials
-    return McEstimate(outage_mean=p,
-                      std_error=math.sqrt(p * (1.0 - p) / trials),
-                      trials=trials, seed=seed)
+    return chunk_count, trials, seed
+
+
+def _estimate_outages(runs, workers=None):
+    """McEstimate of each (chunk, trials, seed) from _outage_trials in runs,
+    in order. The chunks of all runs share one pool of `workers` threads,
+    by default one per CPU the process may use; each estimate is
+    bit-identical for any width and for any company it runs in."""
+    workers = _check_workers(workers)
+    calls = [partial(chunk, idx, n) for chunk, trials, _ in runs
+             for idx, n in _chunk_spans(trials)]
+    counts = iter(_map_chunks(calls, workers))
+    out = []
+    for _, trials, seed in runs:
+        p = sum(islice(counts, len(_chunk_spans(trials)))) / trials
+        out.append(McEstimate(outage_mean=p,
+                              std_error=math.sqrt(p * (1.0 - p) / trials),
+                              trials=trials, seed=seed))
+    return out
+
+
+def simulate_outage(scenario, trials, seed, workers=None):
+    """Estimate the outage probability from `trials` independent network
+    realizations: per trial draw the interferer positions and all gains,
+    form the SINR and count threshold crossings.
+
+    The trials run in chunks on a pool of `workers` threads, by default one
+    per CPU the process may use; the estimate is bit-identical for any
+    width."""
+    run = _outage_trials(scenario, trials, seed)
+    return _estimate_outages([run], workers)[0]

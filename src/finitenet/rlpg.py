@@ -225,6 +225,7 @@ def outage_general_family(scenario, reference_cdf):
     fading. One moment table per decay rate n (the moments depend on n
     through the exponential tilt)."""
     prof = scenario.profile()
+    scenario.check_path_loss(prof.r_max)
     br = scenario.beta / scenario.rho0
     ba = scenario.beta * scenario.r0 ** scenario.alpha
     groups = {}

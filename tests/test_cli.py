@@ -425,6 +425,19 @@ def test_huge_finite_geometry_is_refused_not_misread(tmp_path, capsys):
     assert abs(float(row["outage"]) - noise_only) < 1e-9
 
 
+def test_overflowing_reference_path_loss_is_exit_three(tmp_path, capsys):
+    # r0^alpha = 1e360 overflows: every engine that forms it exits 3 with
+    # no traceback
+    path = _write(tmp_path, _base_raw(r0=1e60, alpha=6.0,
+                                      mc={"trials": 1000}))
+    for method in ("mc", "rlpg", "mgf"):
+        rc = main(["run", "--scenario", path, "--out",
+                   str(tmp_path / "o.csv"), "--method", method])
+        err = capsys.readouterr().err
+        assert rc == 3 and "path loss" in err, method
+        assert "Traceback" not in err
+
+
 def test_fingerprint_ignores_evaluation_knobs():
     def fingerprint(cfg):
         return scenario_fingerprint(cfg, build_scenario(cfg))
@@ -931,13 +944,9 @@ def test_chunk_pool_width_changes_no_csv_byte(tmp_path, monkeypatch):
     assert outputs[1] == outputs[2] == outputs[4]
 
 
-def test_sweep_never_computes_more_chunks_at_once_than_the_width(
-        tmp_path, monkeypatch):
-    # a sweep runs its points one after another and each point runs its
-    # chunks on a pool of the width; the process-wide bound, which also
-    # covers callers that run estimates from threads of their own, holds
-    # the chunks that compute at once to the width
-    width = 2
+def _peak_live_chunks(tmp_path, monkeypatch, trials, width):
+    """Most chunks computing at once in a 4-point M sweep of `trials`
+    trials per point, on a pool and a live-chunk bound of `width`."""
     monkeypatch.setattr(scenario_module, "_CPU_WORKERS", width)
     monkeypatch.setattr(montecarlo, "_LIVE_CHUNKS",
                         threading.BoundedSemaphore(width))
@@ -958,11 +967,36 @@ def test_sweep_never_computes_more_chunks_at_once_than_the_width(
                 live.pop()
 
     monkeypatch.setattr(montecarlo, "sample_uniform_in_region", counted)
-    path = _write(tmp_path, _mc_raw(montecarlo.CHUNK_TRIALS + 1))
-    assert main(["sweep", "--scenario", path, "--out", str(tmp_path / "o.csv"),
-                 "--variable", "M", "--values", "1,2,3,4",
-                 "--method", "mc"]) == 0
-    assert peak[0] == width
+    try:
+        path = _write(tmp_path, _mc_raw(trials))
+        assert main(["sweep", "--scenario", path,
+                     "--out", str(tmp_path / "o.csv"), "--variable", "M",
+                     "--values", "1,2,3,4", "--method", "mc"]) == 0
+    finally:
+        monkeypatch.setattr(montecarlo, "sample_uniform_in_region", sample)
+    return peak[0]
+
+
+def test_sweep_never_computes_more_chunks_at_once_than_the_width(
+        tmp_path, monkeypatch):
+    # the process-wide bound, which also covers callers that run estimates
+    # from threads of their own, holds the chunks that compute at once to
+    # the width
+    peak = _peak_live_chunks(tmp_path, monkeypatch,
+                             montecarlo.CHUNK_TRIALS + 1, 2)
+    assert peak == 2
+
+
+def test_sweep_runs_the_chunks_of_all_its_points_on_one_pool(
+        tmp_path, monkeypatch):
+    # one chunk per point: a point at a time would keep one chunk live, but
+    # the sweep maps the chunks of every point through one pool of the width
+    assert _peak_live_chunks(tmp_path, monkeypatch, 1000, 2) == 2
+    # each row keeps the bytes of its point's own run, in grid order
+    rows = _read_csv(str(tmp_path / "o.csv"))[1:]
+    for row, count in zip(rows, (1, 2, 3, 4)):
+        cells = _run_cells(tmp_path, dict(_mc_raw(1000), M=count), "mc")
+        assert row == [cells[0], str(count), cells[1], cells[2]]
 
 
 def test_sweep_runs_no_more_radial_integrals_at_once_than_the_width(

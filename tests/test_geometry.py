@@ -104,6 +104,15 @@ def test_constructor_validation():
                       lambda: make_fig2_region(huge)):
             with pytest.raises(InvalidParameterError, match="finite area"):
                 build()
+    # a disk keeps its radius and centre coordinates below 1e153, as polygon
+    # vertices do, so the squared offsets of Monte Carlo stay finite
+    for build in (lambda: disk_region((0, 0), 1e153),
+                  lambda: disk_region((0, 0), 5e153),
+                  lambda: disk_region((1e153, 0), 1.0),
+                  lambda: disk_region((0, -2e153), 1.0)):
+        with pytest.raises(InvalidParameterError, match="1e\\+153"):
+            build()
+    assert disk_region((-9e152, 9e152), 9e152).radius == 9e152
 
 
 def test_reference_point_validation():

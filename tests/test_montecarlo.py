@@ -2,15 +2,18 @@
 
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finitenet import (InvalidParameterError, NakagamiChannel, Scenario,
-                       disk_region, make_fig2_region, make_regular_polygon,
-                       outage_rlpg, sample_uniform_in_region, simulate_outage)
+import finitenet.montecarlo as montecarlo
+from finitenet import (InvalidParameterError, NakagamiChannel, NumericFailure,
+                       Scenario, disk_region, make_fig2_region,
+                       make_regular_polygon, outage_rlpg,
+                       sample_uniform_in_region, simulate_outage)
 from finitenet.montecarlo import _chunk_spans, _rng_for_chunk
 
 from geometry_oracles import clip_cdf, sample_uniform_plain
@@ -212,3 +215,77 @@ def test_sampler_matches_plain_formulas():
 @given(polygons(), st.integers(0, 2 ** 32 - 1))
 def test_sampler_matches_plain_formulas_on_convex_polygons(reg, seed):
     _assert_sampler_matches_plain_formulas(reg, seed)
+
+
+def _plain_outage_count(sc, trials, seed):
+    """Outages among `trials` trials drawn chunk by chunk from the engine's
+    streams, with the distance |x - y0| from np.hypot, the loss as its
+    power -alpha and the interference as a plain sum: the formulas the
+    engine's squared-offset chunk must agree with."""
+    ch = sc.channel
+    num = sc.num_interferers
+    count = 0
+    for idx, n in _chunk_spans(trials):
+        rng = _rng_for_chunk(seed, idx)
+        g0 = rng.gamma(ch.m0, 1.0 / ch.m0, n)
+        pts = sample_uniform_in_region(sc.region, rng, size=n * num)
+        dist = np.hypot(pts[:, 0] - sc.receiver[0],
+                        pts[:, 1] - sc.receiver[1]).reshape(n, num)
+        gains = rng.gamma(ch.m, 1.0 / ch.m, (n, num))
+        interference = (gains * dist ** -sc.alpha).sum(axis=1)
+        sinr = g0 / (1.0 / sc.rho0 + sc.r0 ** sc.alpha * interference)
+        count += int(np.count_nonzero(sinr < sc.beta))
+    return count
+
+
+def _assert_plain_count(sc, trials, seed):
+    want = _plain_outage_count(sc, trials, seed) / trials
+    for workers in (1, 3):
+        assert simulate_outage(sc, trials, seed,
+                               workers=workers).outage_mean == want, workers
+
+
+def test_squared_offset_chunks_count_what_the_distance_formulas_count():
+    trials = 2 * montecarlo.CHUNK_TRIALS + 1000
+    fig2 = Scenario(region=make_fig2_region(100.0), receiver=(33.4, 80.7),
+                    r0=5.0, num_interferers=10,
+                    channel=NakagamiChannel(m0=1.0, m=1.0), alpha=4.0,
+                    beta=1.0, rho0=100.0)
+    # the largest disk the bound allows, receiver on the rim: every
+    # squared offset stays finite
+    huge = 9e152
+    rim = Scenario(region=disk_region((0.0, 0.0), huge), receiver=(huge, 0.0),
+                   r0=huge, num_interferers=1,
+                   channel=NakagamiChannel(m0=1.0, m=1.0), alpha=2.0,
+                   beta=1.0, rho0=100.0)
+    for sc in (_fig3_scenario(25.0, 4.0), fig2, rim):
+        _assert_plain_count(sc, trials, seed=11)
+
+
+@settings(max_examples=25)
+@given(polygons(), st.sampled_from(("vertex", "edge", "centroid")),
+       st.integers(0, 16), st.floats(2.0, 6.0), st.integers(1, 4),
+       st.sampled_from((0.5, 1.0, 2.5)), st.integers(0, 2 ** 32 - 1))
+def test_squared_offset_chunks_match_distance_formulas_on_polygons(
+        reg, where, index, alpha, num, m, seed):
+    v = reg.vertices
+    i = index % len(v)
+    y0 = {"vertex": v[i], "edge": 0.5 * (v[i] + v[(i + 1) % len(v)]),
+          "centroid": v.mean(axis=0)}[where]
+    sc = Scenario(region=reg, receiver=y0, r0=0.05 * reg.scale,
+                  num_interferers=num, channel=NakagamiChannel(m0=1.5, m=m),
+                  alpha=alpha, beta=1.0, rho0=100.0)
+    # small chunks, so that three workers share several of them
+    with mock.patch.object(montecarlo, "CHUNK_TRIALS", 700):
+        _assert_plain_count(sc, 2000, seed)
+
+
+def test_reference_path_loss_overflow_is_a_numeric_failure():
+    # r0^alpha = 1e360 overflows: refused before any chunk runs, not a
+    # bare OverflowError
+    sc = Scenario(region=disk_region((0.0, 0.0), 100.0), receiver=(0.0, 0.0),
+                  r0=1e60, num_interferers=10,
+                  channel=NakagamiChannel(m0=1.0, m=1.0), alpha=6.0,
+                  beta=1.0, rho0=100.0)
+    with pytest.raises(NumericFailure, match="path loss"):
+        simulate_outage(sc, 1000, seed=1)

@@ -351,6 +351,17 @@ def test_general_family_toy_law_against_simulation():
     assert abs(got - p) <= 3.0 * se
 
 
+def test_general_family_refuses_an_overflowing_reference_path_loss():
+    # r0^alpha = 1e360: a NumericFailure before the tilt is formed, not a
+    # bare OverflowError
+    sc = _scenario(disk_region((0, 0), 100.0), (0.0, 0.0), m0=1, m=1.0,
+                   alpha=6.0, r0=1e60)
+    with pytest.raises(NumericFailure, match="path loss"):
+        outage_general_family(sc, nakagami_as_general_cdf(1))
+    with pytest.raises(NumericFailure, match="path loss"):
+        outage_rlpg(sc)
+
+
 def test_outage_result_metadata():
     sc = _scenario(disk_region((0, 0), 50.0), (0, 0), m0=2, m=1.0, M=4)
     res = outage_rlpg(sc)
