@@ -66,9 +66,10 @@ class DistanceProfile:
 
 def disk_region(center, radius):
     area = math.pi * radius * radius
-    if not (radius > 0 and math.isfinite(area)):
+    if not (radius > 0 and 0 < area < math.inf):
         raise InvalidParameterError(
-            f"disk radius must be positive, with a finite area, got {radius}")
+            f"disk radius must be positive, with a positive finite area, got "
+            f"{radius}")
     if not radius < _MAX_COORD:
         raise InvalidParameterError(
             f"disk radius must be below {_MAX_COORD:.0e}, got {radius}")

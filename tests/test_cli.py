@@ -383,6 +383,20 @@ def test_non_finite_geometry_is_exit_two(tmp_path, capsys):
                 assert "finite" in capsys.readouterr().err
 
 
+def test_disk_whose_area_underflows_is_exit_two(tmp_path, capsys):
+    # pi r^2 is 0.0 at r = 1e-170: every engine refuses the region rather
+    # than divide by its area or warn
+    raw = _base_raw(region={"type": "disk", "params": {"radius": 1e-170}},
+                    mc={"trials": 1000})
+    path = _write(tmp_path, raw)
+    for method in ("rlpg", "mgf", "mc", "ppp"):
+        rc = main(["run", "--scenario", path, "--out",
+                   str(tmp_path / "o.csv"), "--method", method])
+        err = capsys.readouterr().err
+        assert rc == 2 and "positive finite area" in err, method
+        assert "Traceback" not in err
+
+
 def test_huge_finite_geometry_is_refused_not_misread(tmp_path, capsys):
     # a disk of radius 1e78 or 1e100 has a finite area, but r^alpha
     # overflows at alpha = 4 (at 1e77, m r^alpha does for m = 2.5): both
@@ -950,7 +964,7 @@ def _peak_live_chunks(tmp_path, monkeypatch, trials, width):
     monkeypatch.setattr(scenario_module, "_CPU_WORKERS", width)
     monkeypatch.setattr(montecarlo, "_LIVE_CHUNKS",
                         threading.BoundedSemaphore(width))
-    sample = montecarlo.sample_uniform_in_region
+    offsets = montecarlo._squared_offsets
     lock = threading.Lock()
     live = []
     peak = [0]
@@ -961,19 +975,19 @@ def _peak_live_chunks(tmp_path, monkeypatch, trials, width):
             peak[0] = max(peak[0], len(live))
         try:
             time.sleep(0.02)   # long enough for the threads to overlap
-            return sample(*args, **kwargs)
+            return offsets(*args, **kwargs)
         finally:
             with lock:
                 live.pop()
 
-    monkeypatch.setattr(montecarlo, "sample_uniform_in_region", counted)
+    monkeypatch.setattr(montecarlo, "_squared_offsets", counted)
     try:
         path = _write(tmp_path, _mc_raw(trials))
         assert main(["sweep", "--scenario", path,
                      "--out", str(tmp_path / "o.csv"), "--variable", "M",
                      "--values", "1,2,3,4", "--method", "mc"]) == 0
     finally:
-        monkeypatch.setattr(montecarlo, "sample_uniform_in_region", sample)
+        monkeypatch.setattr(montecarlo, "_squared_offsets", offsets)
     return peak[0]
 
 

@@ -113,6 +113,11 @@ def test_constructor_validation():
         with pytest.raises(InvalidParameterError, match="1e\\+153"):
             build()
     assert disk_region((-9e152, 9e152), 9e152).radius == 9e152
+    # a disk whose area underflows to 0 is refused, not divided by
+    for tiny in (1e-170, 1e-300, 5e-324):
+        with pytest.raises(InvalidParameterError, match="positive finite area"):
+            disk_region((0, 0), tiny)
+    assert disk_region((0, 0), 1e-150).area > 0
 
 
 def test_reference_point_validation():

@@ -280,6 +280,51 @@ def test_squared_offset_chunks_match_distance_formulas_on_polygons(
         _assert_plain_count(sc, 2000, seed)
 
 
+@settings(max_examples=25)
+@given(st.floats(0.1, 1000.0), st.tuples(st.floats(-2.0, 2.0),
+                                         st.floats(-2.0, 2.0)),
+       st.sampled_from(("centre", "inside", "rim")), st.floats(0.05, 0.95),
+       st.floats(0.0, 2.0 * math.pi), st.floats(2.0, 6.0), st.integers(1, 4),
+       st.sampled_from((0.5, 1.0, 2.5)), st.integers(0, 2 ** 32 - 1))
+def test_squared_offset_chunks_match_distance_formulas_on_disks(
+        radius, shift, where, frac, angle, alpha, num, m, seed):
+    # receivers off the x-axis too, so the receiver's polar angle is not 0
+    center = np.array(shift) * radius
+    off = {"centre": 0.0, "inside": frac, "rim": 1.0}[where] * radius
+    y0 = center + off * np.array([math.cos(angle), math.sin(angle)])
+    sc = Scenario(region=disk_region(center, radius), receiver=y0,
+                  r0=0.05 * radius, num_interferers=num,
+                  channel=NakagamiChannel(m0=1.5, m=m), alpha=alpha,
+                  beta=1.0, rho0=100.0)
+    with mock.patch.object(montecarlo, "CHUNK_TRIALS", 700):
+        _assert_plain_count(sc, 2000, seed)
+
+
+def test_disk_squared_offsets_match_a_long_double_distance():
+    # the half-angle form against |x - y0|^2 in long double from the same
+    # polar draws (rho, phi), and draw for draw with the sampler
+    size = 100_000
+    for center, radius, y0 in (((0.0, 0.0), 100.0, (25.0, 0.0)),
+                               ((0.0, 0.0), 100.0, (0.0, 0.0)),
+                               ((0.0, 0.0), 100.0, (0.0, -100.0)),
+                               ((3.5, -7.25), 13.0, (1.0, -2.0)),
+                               ((-2e3, 5e3), 1e3, (-1.4e3, 4.3e3)),
+                               ((1.0, 1.0), 1e-3, (1.0007, 1.0007))):
+        reg = disk_region(center, radius)
+        rng, ref_rng = (np.random.default_rng(21) for _ in range(2))
+        got = montecarlo._squared_offsets(reg, np.array(y0), rng, size)
+        rho = np.sqrt(ref_rng.random(size)) * radius
+        phi = ref_rng.random(size) * (2.0 * np.pi)
+        assert rng.random() == ref_rng.random()
+        ld = np.longdouble
+        rho, phi = rho.astype(ld), phi.astype(ld)
+        dx = ld(center[0]) - ld(y0[0]) + rho * np.cos(phi)
+        dy = ld(center[1]) - ld(y0[1]) + rho * np.sin(phi)
+        want = dx * dx + dy * dy
+        err = float(np.max(np.abs(got - want) / want))
+        assert err <= 1e-12, (center, radius, y0, err)
+
+
 def test_reference_path_loss_overflow_is_a_numeric_failure():
     # r0^alpha = 1e360 overflows: refused before any chunk runs, not a
     # bare OverflowError

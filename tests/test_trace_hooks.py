@@ -115,24 +115,31 @@ def test_radial_spans_nest_in_outer_spans_on_pool_threads(monkeypatch):
 
 def test_default_width_chunks_reach_the_wrapped_hooks(monkeypatch):
     # the benchmark counts chunks by the wrapped montecarlo._rng_for_chunk and
-    # times the sampler by the wrapped sample_uniform_in_region; chunks on
-    # the default pool must still look both up as module attributes
+    # times the polygon sampler by the wrapped sample_uniform_in_region;
+    # chunks on the default pool must still look both up as module
+    # attributes (a disk chunk draws its offsets without the sampler)
     import finitenet.scenario as scenario_module
     from finitenet import (NakagamiChannel, Scenario, disk_region,
-                           montecarlo)
+                           make_fig2_region, montecarlo)
 
     monkeypatch.setattr(scenario_module, "_CPU_WORKERS", 2)
-    sc = Scenario(region=disk_region((0.0, 0.0), 100.0),
-                  receiver=(25.0, 0.0), r0=5.0, num_interferers=1,
-                  channel=NakagamiChannel(m0=1.0, m=1.0), alpha=4.0,
-                  beta=1.0, rho0=100.0)
     tracing = _tracing()
-    tracer = tracing.Tracer()
-    try:
-        tracing.install(tracer)
-        montecarlo.simulate_outage(sc, 2 * montecarlo.CHUNK_TRIALS + 1, 5)
-    finally:
-        tracer.restore()
-    metrics = tracing.layer_metrics(tracer, 0.0, 0.0)
-    assert metrics["montecarlo.chunks"] == 3
-    assert [s[3] for s in tracer.spans].count("montecarlo.sample_uniform") == 3
+
+    def traced_run(region, receiver):
+        sc = Scenario(region=region, receiver=receiver, r0=5.0,
+                      num_interferers=1,
+                      channel=NakagamiChannel(m0=1.0, m=1.0), alpha=4.0,
+                      beta=1.0, rho0=100.0)
+        tracer = tracing.Tracer()
+        try:
+            tracing.install(tracer)
+            montecarlo.simulate_outage(sc, 2 * montecarlo.CHUNK_TRIALS + 1, 5)
+        finally:
+            tracer.restore()
+        return tracer
+
+    disk = traced_run(disk_region((0.0, 0.0), 100.0), (25.0, 0.0))
+    assert tracing.layer_metrics(disk, 0.0, 0.0)["montecarlo.chunks"] == 3
+    fig2 = traced_run(make_fig2_region(100.0), (33.4, 80.7))
+    assert tracing.layer_metrics(fig2, 0.0, 0.0)["montecarlo.chunks"] == 3
+    assert [s[3] for s in fig2.spans].count("montecarlo.sample_uniform") == 3
