@@ -289,25 +289,25 @@ def load_scenario_config(path):
 
 # ----- scenario assembly -----
 
-def _regular_polygon_circumradius(params):
-    R = params["circumradius"]
-    if R is None:
-        L = params["num_sides"]
-        R = math.sqrt(2.0 * params["area"] / (L * math.sin(2.0 * math.pi / L)))
-    return R
+def _region_recipe(cfg):
+    """(constructor, arguments) that build cfg's region. The arguments,
+    flattened, are the region's part of the scenario fingerprint."""
+    t, p = cfg.region_type, cfg.region_params
+    if t == "disk":
+        return disk_region, (p["center"], p["radius"])
+    if t == "regular_polygon":
+        L, R = p["num_sides"], p["circumradius"]
+        if R is None:
+            R = math.sqrt(2.0 * p["area"] / (L * math.sin(2.0 * math.pi / L)))
+        return make_regular_polygon, (L, R, p["center"])
+    if t == "polygon":
+        return polygon_region, (p["vertices"],)
+    return make_fig2_region, (p["width"],)
 
 
 def build_region(cfg):
-    t, p = cfg.region_type, cfg.region_params
-    if t == "disk":
-        return disk_region(p["center"], p["radius"])
-    if t == "regular_polygon":
-        return make_regular_polygon(p["num_sides"],
-                                    _regular_polygon_circumradius(p),
-                                    center=p["center"])
-    if t == "polygon":
-        return polygon_region(p["vertices"])
-    return make_fig2_region(p["width"])
+    make, args = _region_recipe(cfg)
+    return make(*args)
 
 
 def _polygon_centroid(v):
@@ -360,18 +360,10 @@ def scenario_fingerprint(cfg, sc):
     """Short stable digest of the resolved scenario sc built from cfg
     (geometry and link parameters; evaluation settings excluded)."""
     xy = sc.receiver
-    p = cfg.region_params
-    if cfg.region_type == "disk":
-        rp = [p["center"][0], p["center"][1], p["radius"]]
-    elif cfg.region_type == "regular_polygon":
-        rp = [p["num_sides"], _regular_polygon_circumradius(p),
-              p["center"][0], p["center"][1]]
-    elif cfg.region_type == "polygon":
-        rp = [c for v in p["vertices"] for c in v]
-    else:
-        rp = [p["width"]]
+    _, args = _region_recipe(cfg)
     payload = {
-        "region": [cfg.region_type] + [float(v) for v in rp],
+        "region": [cfg.region_type] + [float(v) for a in args
+                                       for v in np.ravel(a)],
         "receiver": [float(xy[0]), float(xy[1])],
         "r0": cfg.r0, "M": cfg.num_interferers, "m0": cfg.m0, "m": cfg.m,
         "alpha": cfg.alpha, "beta_db": cfg.beta_db, "snr_db": cfg.snr_db,

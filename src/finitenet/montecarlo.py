@@ -108,25 +108,18 @@ def sample_uniform_in_region(region, rng, size=None):
     triangulation with area-weighted triangle choice and a barycentric flip
     (no rejection, so the draw count per sample is fixed).
 
-    The result is the transpose of one (2, n) buffer, so each coordinate
-    column is contiguous; the coordinates are built in place with the same
-    floating-point operations, in the same order, as the plain formulas in
-    the comments."""
+    The result is the transpose of one (2, n) array, so each coordinate
+    column is contiguous. A polygon's coordinates are built in place with
+    the same floating-point operations, in the same order, as the plain
+    formula in the comment."""
     n = 1 if size is None else int(size)
-    xy = np.empty((2, n))
     if region.kind == "disk":
-        # center + radius * sqrt(U) * (cos, sin)(2 pi U')
-        r = rng.random(n)
-        np.sqrt(r, out=r)
-        r *= region.radius
-        ang = rng.random(n)
-        ang *= 2.0 * np.pi
-        for k, trig in enumerate((np.cos, np.sin)):
-            trig(ang, out=xy[k])
-            xy[k] *= r
-            xy[k] += region.center[k]
+        r = region.radius * np.sqrt(rng.random(n))
+        phi = 2.0 * np.pi * rng.random(n)
+        xy = region.center[:, None] + r * np.stack((np.cos(phi), np.sin(phi)))
     else:
         # a + u (b[pick] - a) + w (c[pick] - a) over the fan triangles
+        xy = np.empty((2, n))
         v = region.vertices
         a = v[0]
         ab = v[1:-1] - a

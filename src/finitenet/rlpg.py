@@ -98,9 +98,8 @@ def _omega_values(profile, ts, m, alpha, c):
             return (_kernel_rows(r, ts, lead, m, alpha, c)
                     * profile.pdf(r)[None, :])
 
-        inner = [x for x in profile.breakpoints[:-1] if x > lo]
         vals, _ = adaptive_rows_quad(rows, lo, profile.r_max,
-                                     breakpoints=inner,
+                                     breakpoints=profile.breakpoints,
                                      rel_tol=_OMEGA_REL_TOL)
         total += vals
     return total
@@ -182,6 +181,23 @@ def _clamp_unit(raw, context):
     return raw
 
 
+def _series_outages(scenario, groups, counts):
+    """1 - sum over groups of E{ e^{-rate X} sum_k a_k X^k }, with
+    X = beta/rho0 + beta r0^alpha I, for each interferer count in counts:
+    the outage when the reference gain's CDF is 1 - that sum at X. Each
+    group is (rate, terms, moment table at that rate's tilt)."""
+    br = scenario.beta / scenario.rho0
+    ba = scenario.beta * scenario.r0 ** scenario.alpha
+    out = []
+    for num in counts:
+        num = _interferer_count(num)
+        acc = 0.0
+        for rate, terms, table in groups:
+            acc += _tilted_average(table, num, rate, terms, br, ba)
+        out.append(_clamp_unit(1.0 - acc, "outage assembly"))
+    return out
+
+
 def outage_rlpg(scenario):
     """Outage probability for integer reference shape m0.
 
@@ -198,15 +214,8 @@ def outage_rlpg_for_counts(scenario, counts):
     table does not depend on the count). Returns a list of floats."""
     table = omega_expectation_table(scenario)
     m0 = len(table)
-    terms = nakagami_terms(m0)
-    br = scenario.beta / scenario.rho0
-    ba = scenario.beta * scenario.r0 ** scenario.alpha
-    out = []
-    for num in counts:
-        raw = 1.0 - _tilted_average(table, _interferer_count(num), m0, terms,
-                                    br, ba)
-        out.append(_clamp_unit(raw, "outage assembly"))
-    return out
+    return _series_outages(scenario, [(m0, nakagami_terms(m0), table)],
+                           counts)
 
 
 def outage_disk_center(W, r0, M, m0, m, alpha, beta, rho0):
@@ -225,19 +234,12 @@ def outage_general_family(scenario, reference_cdf):
     fading. One moment table per decay rate n (the moments depend on n
     through the exponential tilt)."""
     prof = scenario.profile()
-    scenario.check_path_loss(prof.r_max)
-    br = scenario.beta / scenario.rho0
-    ba = scenario.beta * scenario.r0 ** scenario.alpha
-    groups = {}
+    by_rate = {}
     for n, k, a in reference_cdf.terms:
-        groups.setdefault(n, []).append((k, a))
-
-    acc = 0.0
-    for n in sorted(groups):
-        terms = groups[n]
-        values = _moment_values(prof, scenario, n,
-                                max(k for k, _ in terms) + 1)
-        acc += _tilted_average(values, scenario.num_interferers, n, terms,
-                               br, ba)
-    return OutageResult(outage=_clamp_unit(1.0 - acc, "outage assembly"),
-                        method="rlpg", abs_error=_RLPG_ABS_ERROR)
+        by_rate.setdefault(n, []).append((k, a))
+    groups = [(n, terms, _moment_values(prof, scenario, n,
+                                        max(k for k, _ in terms) + 1))
+              for n, terms in sorted(by_rate.items())]
+    outage, = _series_outages(scenario, groups, [scenario.num_interferers])
+    return OutageResult(outage=outage, method="rlpg",
+                        abs_error=_RLPG_ABS_ERROR)

@@ -2,6 +2,7 @@
 
 import math
 import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,7 +86,10 @@ class Scenario:
 
     def check_path_loss(self, r_max):
         """Raise NumericFailure where the path loss as the engines form it,
-        m r^alpha (m > 1 the interferer shape), overflows at r0 or r_max."""
+        m r^alpha (m > 1 the interferer shape), overflows at r0 or r_max,
+        or where the reference loss r0^alpha or its threshold multiple
+        beta r0^alpha is not a positive normal float (as on a tiny region,
+        or at a tiny beta)."""
         far = float(max(self.r0, r_max))
         try:
             loss = max(self.channel.m, 1.0) * far ** self.alpha
@@ -94,6 +98,13 @@ class Scenario:
         if loss == math.inf:
             raise NumericFailure(
                 f"path loss m r^alpha overflows at r = {far:.6g}")
+        r0a = self.r0 ** self.alpha
+        for name, val in (("r0^alpha", r0a),
+                          ("beta r0^alpha", self.beta * r0a)):
+            if not sys.float_info.min <= val < math.inf:
+                raise NumericFailure(
+                    f"path loss {name} = {val:.6g} at r0 = {self.r0:.6g} is "
+                    "not a positive normal float")
 
 
 @dataclass(frozen=True)

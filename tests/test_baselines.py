@@ -5,7 +5,8 @@ from dataclasses import fields
 
 import pytest
 
-from finitenet import InvalidParameterError, outage_ppp_rayleigh
+from finitenet import (InvalidParameterError, NakagamiChannel, Scenario,
+                       disk_region, outage_ppp_rayleigh, outage_rlpg)
 
 
 def _reference(density, r0, alpha, beta, rho0):
@@ -68,3 +69,26 @@ def test_invalid_arguments():
         kw[key] = bad
         with pytest.raises(InvalidParameterError):
             outage_ppp_rayleigh(**kw)
+
+
+def test_binomial_field_tends_to_the_poisson_baseline():
+    # M = round(lambda pi W^2) Rayleigh interferers in a disk of radius W
+    # around the receiver approach the Poisson field of density
+    # M / (pi W^2) as W grows. The series engine shares no radial code with
+    # the closed form. Each doubling of W shrinks the gap by 2^(alpha - 2)
+    # (the field beyond W) until the binomial-versus-Poisson O(1/M) term,
+    # a factor 4, takes over past alpha = 4.
+    for alpha in (2.5, 3.0, 4.0, 6.0):
+        gaps = []
+        for W in (50.0, 100.0, 200.0, 400.0, 800.0, 1600.0):
+            M = round(1e-3 * math.pi * W * W)
+            sc = Scenario(region=disk_region((0.0, 0.0), W),
+                          receiver=(0.0, 0.0), r0=5.0, num_interferers=M,
+                          channel=NakagamiChannel(m0=1.0, m=1.0),
+                          alpha=alpha, beta=1.0, rho0=100.0)
+            ppp = outage_ppp_rayleigh(M / (math.pi * W * W), 5.0, alpha, 1.0,
+                                      100.0)
+            gaps.append(outage_rlpg(sc).outage - ppp.outage)
+        expected = 2.0 ** min(alpha - 2.0, 2.0)
+        for wide, wider in zip(gaps, gaps[1:]):
+            assert abs(wide / wider / expected - 1.0) < 0.1, (alpha, gaps)

@@ -452,6 +452,25 @@ def test_overflowing_reference_path_loss_is_exit_three(tmp_path, capsys):
         assert "Traceback" not in err
 
 
+def test_underflowing_reference_path_loss_is_exit_three(tmp_path, capsys):
+    # on a disk of radius 1e-100, r0^alpha = (5e-102)^4 underflows to 0:
+    # every engine that forms it exits 3 with no traceback, while a disk of
+    # radius 1e-30 with r0 = radius / 20 still runs
+    def run(radius, method):
+        raw = _base_raw(region={"type": "disk", "params": {"radius": radius}},
+                        r0=radius / 20.0, M=1, mc={"trials": 1000})
+        rc = main(["run", "--scenario", _write(tmp_path, raw), "--out",
+                   str(tmp_path / "o.csv"), "--method", method])
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        return rc, err
+
+    for method in ("mc", "rlpg", "mgf"):
+        rc, err = run(1e-100, method)
+        assert rc == 3 and "path loss r0^alpha" in err, method
+    assert run(1e-30, "rlpg")[0] == 0
+
+
 def test_fingerprint_ignores_evaluation_knobs():
     def fingerprint(cfg):
         return scenario_fingerprint(cfg, build_scenario(cfg))

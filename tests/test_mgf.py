@@ -385,6 +385,15 @@ def test_outage_result_reports_accuracy_target():
     assert abs(res.abs_error - 1e-8) < 1e-20
 
 
+def test_underflowing_reference_path_loss_is_a_numeric_failure():
+    # on a disk of radius 1e-100, r0^alpha = (5e-102)^4 underflows to 0:
+    # refused by name, not as an unsettled inversion sum
+    sc = _scenario(disk_region((0, 0), 1e-100), (0, 0), m0=1.0, m=1.0,
+                   alpha=4.0, r0=5e-102, M=1)
+    with pytest.raises(NumericFailure, match="path loss r0\\^alpha"):
+        outage_mgf(sc)
+
+
 def test_held_kernel_is_shared_by_its_key_only():
     disk = disk_region((0, 0), 100.0)
     sc = _scenario(disk, (50.0, 0.0), m0=1.5, m=2.0, M=1)

@@ -334,3 +334,20 @@ def test_reference_path_loss_overflow_is_a_numeric_failure():
                   beta=1.0, rho0=100.0)
     with pytest.raises(NumericFailure, match="path loss"):
         simulate_outage(sc, 1000, seed=1)
+
+
+def test_underflowing_reference_path_loss_is_a_numeric_failure():
+    # on a disk of radius 1e-100, r0^alpha = (5e-102)^4 underflows to 0,
+    # which would read every trial as noise-only (an outage of 0); at
+    # radius 1e-30 the estimate keeps the scale-free value
+    def scenario(W):
+        return Scenario(region=disk_region((0.0, 0.0), W),
+                        receiver=(0.0, 0.0), r0=W / 20.0, num_interferers=1,
+                        channel=NakagamiChannel(m0=1.0, m=1.0), alpha=4.0,
+                        beta=1.0, rho0=100.0)
+
+    with pytest.raises(NumericFailure, match="path loss r0\\^alpha"):
+        simulate_outage(scenario(1e-100), 1000, seed=1)
+    est = simulate_outage(scenario(1e-30), 100000, seed=1)
+    exact = outage_rlpg(scenario(1.0)).outage
+    assert abs(est.outage_mean - exact) <= 3.0 * est.std_error

@@ -351,6 +351,32 @@ def test_general_family_toy_law_against_simulation():
     assert abs(got - p) <= 3.0 * se
 
 
+def test_general_family_two_rate_law_against_simulation():
+    # reference gain a 50/50 mixture of Exp(1) and Exp(2), CDF
+    # 1 - 0.5 e^{-g} - 0.5 e^{-2g}: two decay rates, so two moment tables
+    # summed in one assembly. The outage is linear in the reference CDF, so
+    # it is also the mean of the two one-rate outages.
+    sc = _scenario(disk_region((0, 0), 60.0), (15.0, 0.0), m0=1, m=2.0,
+                   alpha=3.0, M=3, rho0=50.0)
+    cdf = general_fading_cdf([(1.0, 0, 0.5), (2.0, 0, 0.5)])
+    got = outage_general_family(sc, cdf).outage
+    halves = [outage_general_family(sc, general_fading_cdf([(n, 0, 1.0)]))
+              .outage for n in (1.0, 2.0)]
+    assert abs(got - 0.5 * (halves[0] + halves[1])) < 1e-13
+
+    rng = np.random.default_rng(2718)
+    n = 10 ** 6
+    g0 = rng.exponential(np.where(rng.random(n) < 0.5, 1.0, 0.5))
+    pts = sample_uniform_in_region(sc.region, rng, size=n * 3)
+    dist = np.hypot(pts[:, 0] - 15.0, pts[:, 1]).reshape(n, 3)
+    gains = rng.gamma(2.0, 0.5, (n, 3))
+    agg = (gains * dist ** -3.0).sum(axis=1)
+    sinr = g0 / (1.0 / 50.0 + 5.0 ** 3.0 * agg)
+    p = float(np.mean(sinr < 1.0))
+    se = math.sqrt(p * (1.0 - p) / n)
+    assert abs(got - p) <= 3.0 * se
+
+
 def test_general_family_refuses_an_overflowing_reference_path_loss():
     # r0^alpha = 1e360: a NumericFailure before the tilt is formed, not a
     # bare OverflowError
@@ -360,6 +386,34 @@ def test_general_family_refuses_an_overflowing_reference_path_loss():
         outage_general_family(sc, nakagami_as_general_cdf(1))
     with pytest.raises(NumericFailure, match="path loss"):
         outage_rlpg(sc)
+
+
+def test_underflowing_reference_path_loss_is_a_numeric_failure():
+    # on a disk of radius 1e-100, r0^alpha = (5e-102)^4 underflows to 0:
+    # refused, not a ZeroDivisionError. So is a beta r0^alpha that is
+    # subnormal although r0^alpha is not.
+    tiny = _scenario(disk_region((0, 0), 1e-100), (0.0, 0.0), m0=1, m=1.0,
+                     alpha=4.0, r0=5e-102, M=1)
+    faint = _scenario(disk_region((0, 0), 1e-4), (0.0, 0.0), m0=1, m=1.0,
+                      alpha=4.0, r0=1e-5, M=1, beta=1e-300)
+    for sc, name in ((tiny, "r0\\^alpha"), (faint, "beta r0\\^alpha")):
+        with pytest.raises(NumericFailure, match="path loss " + name):
+            outage_rlpg(sc)
+        with pytest.raises(NumericFailure, match="path loss " + name):
+            outage_general_family(sc, nakagami_as_general_cdf(1))
+
+
+def test_tiny_region_keeps_the_scale_free_outage():
+    # the outage depends on lengths only through their ratios: a disk of
+    # radius 1e-30 with r0 = radius / 20 reads as one of radius 1
+    def outage(W):
+        return outage_rlpg(_scenario(disk_region((0, 0), W), (0.0, 0.0),
+                                     m0=1, m=1.0, alpha=4.0, r0=W / 20.0,
+                                     M=1)).outage
+
+    unit = outage(1.0)
+    assert abs(unit - 0.013831895) < 1e-9
+    assert abs(outage(1e-30) - unit) < 1e-12
 
 
 def test_outage_result_metadata():
