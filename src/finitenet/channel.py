@@ -87,11 +87,14 @@ def integer_shape(x):
 
 
 def _is_whole(x):
-    """x is an integer, or a finite float with an integral value. Integers
-    are tested first, so one too large for a float is still whole.
+    """x is an integer, or a finite float with an integral value, and not a
+    bool. Integers are tested first, so one too large for a float is still
+    whole.
 
     The one rule for "is this input a whole number": interferer counts,
-    series orders, powers, sample sizes and seeds all use it."""
+    series orders, powers, sample sizes, trial counts and seeds all use it."""
+    if isinstance(x, bool):
+        return False
     return isinstance(x, numbers.Integral) or (
         isinstance(x, numbers.Real) and math.isfinite(x) and x == int(x))
 

@@ -113,7 +113,7 @@ def _num(val, path):
 def _int(val, path, minimum=None, maximum=MAX_WHOLE):
     """The exact integer in val: a JSON integer as it stands, or a float
     with an integral value."""
-    if isinstance(val, bool) or not _is_whole(val):
+    if not _is_whole(val):
         raise ScenarioParseError(f"field '{path}' must be an integer, got {val!r}")
     n = int(val)
     if minimum is not None and n < minimum:

@@ -148,13 +148,13 @@ def test_one_integer_shape_rule():
 
 
 def test_one_whole_number_rule():
-    # interferer counts, series orders and powers refuse non-finite values
-    # and integers past 2^53 with the package's own errors
+    # interferer counts, series orders and powers refuse non-finite values,
+    # integers past 2^53 and bools with the package's own errors
     sc = Scenario(region=disk_region((0, 0), 100.0), receiver=(0.0, 0.0),
                   r0=5.0, num_interferers=3,
                   channel=NakagamiChannel(m0=2.0, m=1.0), alpha=4.0,
                   beta=1.0, rho0=100.0)
-    for bad in (math.nan, math.inf, -math.inf, 2 ** 53 + 1):
+    for bad in (math.nan, math.inf, -math.inf, 2 ** 53 + 1, True, False):
         with pytest.raises(InvalidParameterError):
             outage_rlpg_for_counts(sc, [bad])
         for name in ("B", "C"):
@@ -176,7 +176,7 @@ def test_one_interferer_count_rule():
                 beta=1.0, rho0=100.0)
     sc = Scenario(num_interferers=3, **base)
     for bad in (math.nan, math.inf, -math.inf, -1, 2.5, 2 ** 53 + 1,
-                10 ** 400):
+                10 ** 400, True):
         with pytest.raises(InvalidParameterError,
                            match="number of interferers"):
             Scenario(num_interferers=bad, **base)

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from itertools import islice
 from unittest import mock
 
 import numpy as np
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 import finitenet.montecarlo as montecarlo
 from finitenet import (InvalidParameterError, NakagamiChannel, NumericFailure,
                        Scenario, disk_region, make_fig2_region,
-                       make_regular_polygon, outage_rlpg,
+                       make_regular_polygon, outage_rlpg, polygon_region,
                        sample_uniform_in_region, simulate_outage)
 from finitenet.montecarlo import _chunk_spans, _rng_for_chunk
 
@@ -165,6 +166,18 @@ def test_input_validation():
         with pytest.raises(InvalidParameterError):
             simulate_outage(sc, **kwargs)
     assert simulate_outage(sc, 100, 1, workers=np.int64(2)).trials == 100
+    # a bool is not a whole number, here or anywhere
+    with pytest.raises(InvalidParameterError):
+        simulate_outage(sc, True, True)
+    with pytest.raises(InvalidParameterError):
+        simulate_outage(sc, 100, True)
+    # a sample size is None or a whole number >= 0
+    reg = make_fig2_region(10.0)
+    for bad in (2.5, -1, True, math.nan, math.inf, "3"):
+        with pytest.raises(InvalidParameterError, match="size"):
+            sample_uniform_in_region(reg, np.random.default_rng(1), size=bad)
+    assert sample_uniform_in_region(reg, np.random.default_rng(1),
+                                    size=2.0).shape == (2, 2)
 
 
 def test_empirical_cdf_mechanics():
@@ -215,6 +228,65 @@ def test_sampler_matches_plain_formulas():
 @given(polygons(), st.integers(0, 2 ** 32 - 1))
 def test_sampler_matches_plain_formulas_on_convex_polygons(reg, seed):
     _assert_sampler_matches_plain_formulas(reg, seed)
+
+
+def test_triangle_choice_matches_plain_formulas_around_the_cutoff():
+    # up to _COUNTED_TRIANGLES fan triangles the sampler counts cumulative
+    # areas, above it it bisects them: a polygon just below, at and just
+    # above the cutoff, and a 100-gon (a polygon of L sides has L - 2)
+    cut = montecarlo._COUNTED_TRIANGLES
+    for triangles in (cut - 1, cut, cut + 1, 98):
+        reg = make_regular_polygon(triangles + 2, 50.0, center=(2.0, 1.0))
+        _assert_sampler_matches_plain_formulas(reg, triangles)
+
+
+class _GivenDraws:
+    """Stands in for a Generator: random(n) and random(out=buf) hand out
+    the given draws in order."""
+
+    def __init__(self, draws):
+        self._draws = iter(draws)
+
+    def random(self, size=None, out=None):
+        if out is None:
+            out = np.empty(size)
+        out[...] = list(islice(self._draws, out.size))
+        return out
+
+
+def test_triangle_choice_ties_go_to_the_later_triangle():
+    # triangle draws t = U * total that land exactly on each cumulative
+    # area, just below it, at 0 and at the total itself: a tie picks the
+    # later triangle, as searchsorted(side="right") does, and U = 1 (which
+    # no Generator returns) the last one. u + w = 1 exactly is not flipped
+    reg = polygon_region([(0, 0), (4, 0), (6, 1), (7, 3), (7, 5), (5, 7),
+                          (2, 7), (0, 5)])
+    ab = reg.vertices[1:-1] - reg.vertices[0]
+    ac = reg.vertices[2:] - reg.vertices[0]
+    cum = np.cumsum(0.5 * np.abs(ab[:, 0] * ac[:, 1] - ab[:, 1] * ac[:, 0]))
+    assert 1 < cum.size <= montecarlo._COUNTED_TRIANGLES
+    ties = cum / cum[-1]
+    assert np.array_equal(ties * cum[-1], cum)
+    draws = np.concatenate([ties, np.nextafter(ties, 0.0), [0.0, 0.5]])
+    n = draws.size
+    u = np.resize([0.5, 0.25, 0.9, 0.0], n)
+    w = np.resize([0.5, 0.75, 0.3, 0.999], n)
+    stream = np.concatenate([draws, u, w, [0.125]])
+    got_rng, want_rng = _GivenDraws(stream), _GivenDraws(stream)
+    got = sample_uniform_in_region(reg, got_rng, size=n)
+    want = sample_uniform_plain(reg, want_rng, size=n)
+    assert np.array_equal(got, want)
+    assert got_rng.random(1) == want_rng.random(1) == 0.125
+
+
+def test_size_zero_draws_nothing():
+    for reg in (disk_region((0, 0), 100.0), make_fig2_region(100.0),
+                make_regular_polygon(40, 5.0)):
+        rng, plain_rng = (np.random.default_rng(5) for _ in range(2))
+        got = sample_uniform_in_region(reg, rng, size=0)
+        want = sample_uniform_plain(reg, plain_rng, size=0)
+        assert got.shape == want.shape == (0, 2)
+        assert rng.random() == plain_rng.random()
 
 
 def _plain_outage_count(sc, trials, seed):
@@ -351,3 +423,14 @@ def test_underflowing_reference_path_loss_is_a_numeric_failure():
     est = simulate_outage(scenario(1e-30), 100000, seed=1)
     exact = outage_rlpg(scenario(1.0)).outage
     assert abs(est.outage_mean - exact) <= 3.0 * est.std_error
+
+
+def test_loss_that_overflows_counts_as_an_outage():
+    # a disk of radius 1e-100 with r0 = 1: every interferer is 1e100 times
+    # closer than the reference transmitter, |x - y0|^-4 overflows, and the
+    # trial is an outage, with no RuntimeWarning (an error in this suite)
+    sc = Scenario(region=disk_region((0.0, 0.0), 1e-100), receiver=(0.0, 0.0),
+                  r0=1.0, num_interferers=1,
+                  channel=NakagamiChannel(m0=1.0, m=1.0), alpha=4.0,
+                  beta=1.0, rho0=100.0)
+    assert simulate_outage(sc, 1000, seed=1).outage_mean == 1.0
