@@ -18,8 +18,9 @@ most 5.5e-14 measured over six disks, against 2.0e-10 for the squared
 offsets of the sampled points). Region coordinates stay below
 geometry._MAX_COORD, so no squared offset overflows; a loss may, where an
 interferer is far closer than the reference transmitter, and then reads as
-infinite, an outage. A trial's outage can differ from the distance formulas
-only where its SINR lies that close to the threshold.
+infinite, an outage (exact unless beta r0^alpha is near its least normal
+value, see the chunk). A trial's outage can differ from the distance
+formulas only where its SINR lies that close to the threshold.
 """
 
 import math
@@ -37,11 +38,6 @@ from .channel import _is_whole
 from .errors import InvalidParameterError
 
 CHUNK_TRIALS = 1 << 17
-
-# Up to this many fan triangles the polygon sampler picks a triangle by one
-# comparison pass per cumulative area, which beats np.searchsorted up to
-# about 32-40 triangles (timed over 1.31M draws on a 2-core Xeon).
-_COUNTED_TRIANGLES = 32
 
 # No more chunks compute at once in the whole process than there are CPUs,
 # whatever the pools and the callers' threads (the CLI runs one estimate at
@@ -141,15 +137,8 @@ def sample_uniform_in_region(region, rng, size=None):
         cum = np.cumsum(areas)
         t = rng.random(n)
         t *= cum[-1]
-        # the triangle is searchsorted(cum, t, side="right") capped at the
-        # last one: the count of cumulative areas but the last at or below
-        # t, or the search itself, capped by the gathers' clip mode
-        if areas.size <= _COUNTED_TRIANGLES:
-            pick = np.zeros(n, np.intp)
-            for c in cum[:-1]:
-                pick += t >= c
-        else:
-            pick = np.searchsorted(cum, t, side="right")
+        # the gathers' clip mode caps the pick at the last triangle
+        pick = np.searchsorted(cum, t, side="right")
         u = rng.random(out=t)
         w = rng.random(out=x)
         # the flip: with f = 1.0 where u + w > 1 and 0.0 elsewhere,
@@ -240,18 +229,22 @@ def _outage_trials(scenario, trials, seed):
     def chunk_count(idx, n):
         rng = _rng_for_chunk(seed, idx)
         g0 = rng.gamma(m0, 1.0 / m0, n)
-        # a loss that overflows (an interferer far closer than r0^alpha
-        # allows for) is infinite, so its SINR is 0 and the trial an
-        # outage; a noiseless link (noise 0) never fails without interferers
-        with np.errstate(over="ignore", divide="ignore"):
-            if num:
-                # sum over interferers of gain * |x - y0|^(-alpha), with the
-                # losses formed in place in the squared offsets
-                sq = _squared_offsets(region, y0, rng, n * num)
+        if num:
+            # sum over interferers of gain * |x - y0|^(-alpha), with the
+            # losses formed in place in the squared offsets
+            sq = _squared_offsets(region, y0, rng, n * num)
+            gains = rng.gamma(m, 1.0 / m, (n, num))
+            # a loss past DBL_MAX reads as infinite and its trial as an
+            # outage. That is the true outcome wherever
+            # g0 <= beta r0^alpha DBL_MAX gain; at the least beta r0^alpha
+            # check_path_loss allows (2.2e-308) it can err only where
+            # g0 > 4 gain
+            with np.errstate(over="ignore", divide="ignore"):
                 loss = np.power(sq, -half_alpha, out=sq).reshape(n, num)
-                gains = rng.gamma(m, 1.0 / m, (n, num))
                 sinr = g0 / (noise + r0a * np.einsum("ij,ij->i", gains, loss))
-            else:
+        else:
+            # a noiseless link (noise 0) never fails without interferers
+            with np.errstate(divide="ignore"):
                 sinr = g0 / noise
         return int(np.count_nonzero(sinr < beta))
 

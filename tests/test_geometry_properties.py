@@ -259,23 +259,6 @@ def test_series_outage_matches_general_family(sc):
                     nakagami_as_general_cdf(m0)) == series
     if isinstance(series, str):
         return
-    eps = outage_rlpg_for_counts(sc, range(12))
+    eps = outage_rlpg_for_counts(sc, range(25))
     assert all(0.0 <= e <= 1.0 for e in eps)
     assert all(a <= b for a, b in zip(eps, eps[1:])), eps
-
-
-@settings(max_examples=60)
-@given(st.sampled_from(["interior", "edge", "vertex"])
-       .flatmap(polygon_and_receiver), moment_params(), st.integers(1, 10),
-       st.floats(0.01, 0.2), st.floats(-1.0, 1.0), st.floats(0.0, 3.0))
-def test_series_outage_is_monotone_in_the_interferer_count(
-        case, params, m0, r0_frac, log_beta, log_rho0):
-    # one more interferer never lowers the outage, up to rounding, for
-    # integer reference shapes m0 in 1-10
-    reg, y0 = case
-    m, alpha, _ = params
-    sc = Scenario(region=reg, receiver=y0, r0=r0_frac * reg.scale,
-                  num_interferers=0, channel=NakagamiChannel(m0=m0, m=m),
-                  alpha=alpha, beta=10.0 ** log_beta, rho0=10.0 ** log_rho0)
-    eps = outage_rlpg_for_counts(sc, range(25))
-    assert all(b >= a - 1e-12 for a, b in zip(eps, eps[1:])), eps

@@ -230,16 +230,6 @@ def test_sampler_matches_plain_formulas_on_convex_polygons(reg, seed):
     _assert_sampler_matches_plain_formulas(reg, seed)
 
 
-def test_triangle_choice_matches_plain_formulas_around_the_cutoff():
-    # up to _COUNTED_TRIANGLES fan triangles the sampler counts cumulative
-    # areas, above it it bisects them: a polygon just below, at and just
-    # above the cutoff, and a 100-gon (a polygon of L sides has L - 2)
-    cut = montecarlo._COUNTED_TRIANGLES
-    for triangles in (cut - 1, cut, cut + 1, 98):
-        reg = make_regular_polygon(triangles + 2, 50.0, center=(2.0, 1.0))
-        _assert_sampler_matches_plain_formulas(reg, triangles)
-
-
 class _GivenDraws:
     """Stands in for a Generator: random(n) and random(out=buf) hand out
     the given draws in order."""
@@ -264,7 +254,6 @@ def test_triangle_choice_ties_go_to_the_later_triangle():
     ab = reg.vertices[1:-1] - reg.vertices[0]
     ac = reg.vertices[2:] - reg.vertices[0]
     cum = np.cumsum(0.5 * np.abs(ab[:, 0] * ac[:, 1] - ab[:, 1] * ac[:, 0]))
-    assert 1 < cum.size <= montecarlo._COUNTED_TRIANGLES
     ties = cum / cum[-1]
     assert np.array_equal(ties * cum[-1], cum)
     draws = np.concatenate([ties, np.nextafter(ties, 0.0), [0.0, 0.5]])
