@@ -23,9 +23,8 @@ from .channel import (GeneralFadingCdf, NakagamiChannel, general_cdf_eval,
 from .errors import (InvalidParameterError, ModelInconsistencyError,
                      NumericFailure, ScenarioParseError, UnsupportedModelError)
 from .geometry import (DistanceProfile, Region, disk_region, distance_profile,
-                       inside_arc_measure, make_fig2_region,
-                       make_regular_polygon, pdf_disk_closed_form,
-                       polygon_region, region_contains)
+                       make_fig2_region, make_regular_polygon, polygon_region,
+                       region_contains)
 from .mgf import EulerInversionParams, euler_invert_cdf, outage_mgf
 from .montecarlo import McEstimate, sample_uniform_in_region, simulate_outage
 from .rlpg import (omega_expectation_table, outage_disk_center,
@@ -55,7 +54,6 @@ __all__ = [
     "gauss_2f1",
     "general_cdf_eval",
     "general_fading_cdf",
-    "inside_arc_measure",
     "ln_gamma",
     "make_fig2_region",
     "make_regular_polygon",
@@ -67,7 +65,6 @@ __all__ = [
     "outage_ppp_rayleigh",
     "outage_rlpg",
     "outage_rlpg_for_counts",
-    "pdf_disk_closed_form",
     "polygon_region",
     "region_contains",
     "sample_uniform_in_region",

@@ -6,12 +6,19 @@ order, so the estimate is bit-identical no matter how many worker threads
 run the chunks. Several estimates (the Monte Carlo points of a sweep) can
 share one pool of chunks.
 
-A chunk forms each interferer's squared offset |x - y0|^2 from the
+A chunk draws its reference gains whole, then its interferers in blocks of
+about BLOCK_DRAWS draws, so its memory does not grow with trials times
+interferers. Each block reads its positions and gains through cursors on
+the chunk's own stream, placed where one draw of the whole chunk would
+read them, so every block gets the same bits and the count does not depend
+on the block size.
+
+A block forms each interferer's squared offset |x - y0|^2 from the
 sampler's draws (see _squared_offsets), then its path loss as that offset
 to the power -alpha/2, and reduces gain times loss to each trial's
 interference in one pass. On a polygon the interferers are placed exactly
-(see sample_uniform_in_region), with no per-draw branch and in buffers the
-sampler reuses, and their offsets squared in place. On a disk no position
+(see _polygon_points), with no per-draw branch and in buffers the sampler
+reuses, and their offsets squared in place. On a disk no position
 is formed: the offset comes from the polar draws by a half-angle formula,
 within 1e-12 relative of a long-double distance from the same draws (at
 most 5.5e-14 measured over six disks, against 2.0e-10 for the squared
@@ -38,15 +45,18 @@ from .channel import _is_whole
 from .errors import InvalidParameterError
 
 CHUNK_TRIALS = 1 << 17
+# a chunk draws its interferers in blocks of max(1, BLOCK_DRAWS // M)
+# trials, so its arrays stay near this many draws whatever n and M
+BLOCK_DRAWS = 1 << 15
 
 # No more chunks compute at once in the whole process than there are CPUs,
 # whatever the pools and the callers' threads (the CLI runs one estimate at
 # a time, but a library caller may run several simulate_outage calls from
-# threads of its own): each live chunk keeps one CPU busy and holds its own
-# arrays of n trials by M interferers. On a polygon that is at most five
-# while it samples (two position rows, the draws, the triangle indices and
-# one gather step), then the positions and the gains; on a disk two draw
-# arrays, then the squared offsets and the gains.
+# threads of its own): each live chunk keeps one CPU busy. Its memory is
+# its n reference gains and one block: on a polygon at most five arrays of
+# a block's draws while it samples (two position rows, the draws, the
+# triangle indices and one gather step), then the positions and the gains;
+# on a disk two draw arrays, then the squared offsets and the gains.
 _LIVE_CHUNKS = threading.BoundedSemaphore(_scenario._CPU_WORKERS)
 
 
@@ -116,7 +126,7 @@ def sample_uniform_in_region(region, rng, size=None):
     The result is the transpose of one (2, n) array, so each coordinate
     column is contiguous. A polygon's coordinates are built in place, with
     no per-draw branch, from the same draws and with the same
-    floating-point results as the plain formula in the comment."""
+    floating-point results as the plain formula in _polygon_points."""
     if not (size is None or (_is_whole(size) and size >= 0)):
         raise InvalidParameterError(
             f"size must be None or a whole number >= 0, got {size!r}")
@@ -126,50 +136,63 @@ def sample_uniform_in_region(region, rng, size=None):
         phi = 2.0 * np.pi * rng.random(n)
         xy = region.center[:, None] + r * np.stack((np.cos(phi), np.sin(phi)))
     else:
-        # a + u (b[pick] - a) + w (c[pick] - a) over the fan triangles
-        xy = np.empty((2, n))
-        x, y = xy
-        v = region.vertices
-        a = v[0]
-        ab = v[1:-1] - a
-        ac = v[2:] - a
-        areas = 0.5 * np.abs(ab[:, 0] * ac[:, 1] - ab[:, 1] * ac[:, 0])
-        cum = np.cumsum(areas)
-        t = rng.random(n)
-        t *= cum[-1]
-        # the gathers' clip mode caps the pick at the last triangle
-        pick = np.searchsorted(cum, t, side="right")
-        u = rng.random(out=t)
-        w = rng.random(out=x)
-        # the flip: with f = 1.0 where u + w > 1 and 0.0 elsewhere,
-        # |f - u| is exactly 1 - u or u
-        f = np.add(u, w, out=y)
-        np.greater(f, 1.0, out=f)
-        np.abs(np.subtract(f, u, out=u), out=u)
-        np.abs(np.subtract(f, w, out=w), out=w)
-        # y first, while w still sits in x. Each coordinate is
-        # ((b[pick] - a) u + a) + (c[pick] - a) w; y adds the two terms the
-        # other way round, which gives the same bits
-        step = np.empty(n)
-        np.take(ac[:, 1], pick, out=y, mode="clip")
-        y *= w
-        np.take(ab[:, 1], pick, out=step, mode="clip")
-        step *= u
-        step += a[1]
-        y += step
-        np.take(ac[:, 0], pick, out=step, mode="clip")
-        step *= w
-        np.take(ab[:, 0], pick, out=x, mode="clip")
-        x *= u
-        x += a[0]
-        x += step
+        xy = _polygon_points(region, (rng, rng, rng), n)
     pts = xy.T
     return pts[0] if size is None else pts
 
 
-def _squared_offsets(region, y0, rng, size):
-    """|x - y0|^2 for `size` uniform points x of the region, drawn from rng
-    exactly as sample_uniform_in_region draws them.
+def _polygon_points(region, streams, n):
+    """(2, n) uniform points of a polygon, whose n triangle draws t, then n
+    draws u, then n draws w come from the three generators of `streams`
+    (one generator three times for the sampler's own draw order).
+
+    Each point is a + u (b[pick] - a) + w (c[pick] - a) over the fan
+    triangles, with u, w flipped where u + w > 1."""
+    t_rng, u_rng, w_rng = streams
+    xy = np.empty((2, n))
+    x, y = xy
+    v = region.vertices
+    a = v[0]
+    ab = v[1:-1] - a
+    ac = v[2:] - a
+    areas = 0.5 * np.abs(ab[:, 0] * ac[:, 1] - ab[:, 1] * ac[:, 0])
+    cum = np.cumsum(areas)
+    t = t_rng.random(n)
+    t *= cum[-1]
+    # the gathers' clip mode caps the pick at the last triangle
+    pick = np.searchsorted(cum, t, side="right")
+    u = u_rng.random(out=t)
+    w = w_rng.random(out=x)
+    # the flip: with f = 1.0 where u + w > 1 and 0.0 elsewhere,
+    # |f - u| is exactly 1 - u or u
+    f = np.add(u, w, out=y)
+    np.greater(f, 1.0, out=f)
+    np.abs(np.subtract(f, u, out=u), out=u)
+    np.abs(np.subtract(f, w, out=w), out=w)
+    # y first, while w still sits in x. Each coordinate is
+    # ((b[pick] - a) u + a) + (c[pick] - a) w; y adds the two terms the
+    # other way round, which gives the same bits
+    step = np.empty(n)
+    np.take(ac[:, 1], pick, out=y, mode="clip")
+    y *= w
+    np.take(ab[:, 1], pick, out=step, mode="clip")
+    step *= u
+    step += a[1]
+    y += step
+    np.take(ac[:, 0], pick, out=step, mode="clip")
+    step *= w
+    np.take(ab[:, 0], pick, out=x, mode="clip")
+    x *= u
+    x += a[0]
+    x += step
+    return xy
+
+
+def _squared_offsets(region, y0, streams, size):
+    """|x - y0|^2 for `size` uniform points x of the region, whose draws
+    come from the generators of `streams`: radii then angles on a disk,
+    t, u then w on a polygon, each read as sample_uniform_in_region reads
+    its one generator for that stream.
 
     On a disk the points are never formed. With rho = W sqrt(U) and
     phi = 2 pi U' the sampler's polar draws, and delta, psi the polar offset
@@ -179,15 +202,16 @@ def _squared_offsets(region, y0, rng, size):
     y0 as rho^2 + delta^2 - 2 rho delta cos(phi - psi) does. On a polygon
     the offsets of the sampled points are squared in place."""
     if region.kind == "disk":
+        radii, angles = streams
         ox = y0[0] - region.center[0]
         oy = y0[1] - region.center[1]
         delta = math.hypot(ox, oy)
-        sq = rng.random(size)
+        sq = radii.random(size)
         np.sqrt(sq, out=sq)
         sq *= region.radius
         # (phi - psi) / 2 as pi U' - psi / 2: halving is exact, so these
         # are the same bits
-        arc = rng.random(size)
+        arc = angles.random(size)
         arc *= np.pi
         arc -= 0.5 * math.atan2(oy, ox)
         np.sin(arc, out=arc)
@@ -198,13 +222,28 @@ def _squared_offsets(region, y0, rng, size):
         sq *= sq
         sq += arc
         return sq
-    dx, dy = sample_uniform_in_region(region, rng, size=size).T
+    dx, dy = _polygon_points(region, streams, size)
     dx -= y0[0]
     dy -= y0[1]
     dx *= dx
     dy *= dy
     dx += dy
     return dx
+
+
+def _next_draw(rng):
+    """Index of the next raw 64-bit draw of rng's Philox stream (a double
+    takes one); the stream makes four per counter step."""
+    state = rng.bit_generator.state
+    return 4 * (int(state["state"]["counter"][0]) - 1) + state["buffer_pos"]
+
+
+def _cursor(rng, j):
+    """A generator on rng's Philox stream whose next raw draw is draw j."""
+    bits = np.random.Philox(counter=j // 4,
+                            key=rng.bit_generator.state["state"]["key"])
+    bits.random_raw(j % 4)
+    return np.random.Generator(bits)
 
 
 def _outage_trials(scenario, trials, seed):
@@ -225,28 +264,42 @@ def _outage_trials(scenario, trials, seed):
     noise = 1.0 / scenario.rho0
     r0a = scenario.r0 ** scenario.alpha
     region = scenario.region
+    positions = 2 if region.kind == "disk" else 3   # streams per position
 
     def chunk_count(idx, n):
         rng = _rng_for_chunk(seed, idx)
         g0 = rng.gamma(m0, 1.0 / m0, n)
-        if num:
+        if not num:
+            # a noiseless link (noise 0) never fails without interferers
+            with np.errstate(divide="ignore"):
+                return int(np.count_nonzero(g0 / noise < beta))
+        # After g0 the chunk's stream holds, in turn, n * num draws of each
+        # position stream, then the gains. One cursor per stream reads its
+        # stretch block by block, so every block gets the bits a draw of
+        # the whole chunk would give it, and no array outgrows a block
+        size = n * num
+        start = _next_draw(rng)
+        *streams, gain_rng = [_cursor(rng, start + i * size)
+                              for i in range(positions + 1)]
+        rows = max(1, BLOCK_DRAWS // num)
+        count = 0
+        for lo in range(0, n, rows):
+            k = min(rows, n - lo)
             # sum over interferers of gain * |x - y0|^(-alpha), with the
             # losses formed in place in the squared offsets
-            sq = _squared_offsets(region, y0, rng, n * num)
-            gains = rng.gamma(m, 1.0 / m, (n, num))
+            sq = _squared_offsets(region, y0, streams, k * num)
+            gains = gain_rng.gamma(m, 1.0 / m, (k, num))
             # a loss past DBL_MAX reads as infinite and its trial as an
             # outage. That is the true outcome wherever
             # g0 <= beta r0^alpha DBL_MAX gain; at the least beta r0^alpha
             # check_path_loss allows (2.2e-308) it can err only where
             # g0 > 4 gain
             with np.errstate(over="ignore", divide="ignore"):
-                loss = np.power(sq, -half_alpha, out=sq).reshape(n, num)
-                sinr = g0 / (noise + r0a * np.einsum("ij,ij->i", gains, loss))
-        else:
-            # a noiseless link (noise 0) never fails without interferers
-            with np.errstate(divide="ignore"):
-                sinr = g0 / noise
-        return int(np.count_nonzero(sinr < beta))
+                loss = np.power(sq, -half_alpha, out=sq).reshape(k, num)
+                sinr = g0[lo:lo + k] / (
+                    noise + r0a * np.einsum("ij,ij->i", gains, loss))
+            count += int(np.count_nonzero(sinr < beta))
+        return count
 
     return chunk_count, trials, seed
 

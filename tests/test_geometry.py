@@ -12,10 +12,10 @@ import numpy as np
 import pytest
 
 from finitenet import (InvalidParameterError, NakagamiChannel, Scenario,
-                       disk_region, distance_profile, inside_arc_measure,
-                       make_fig2_region, make_regular_polygon, outage_mgf,
-                       outage_rlpg, pdf_disk_closed_form, polygon_region,
-                       region_contains, simulate_outage)
+                       disk_region, distance_profile, make_fig2_region,
+                       make_regular_polygon, outage_mgf, outage_rlpg,
+                       polygon_region, region_contains, simulate_outage)
+from finitenet.geometry import inside_arc_measure, pdf_disk_closed_form
 
 from geometry_oracles import (clip_cdf, pdf_regular_polygon_center,
                               segment_corner_pdf)

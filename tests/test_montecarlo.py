@@ -1,6 +1,7 @@
 """Simulation engine: exact-uniform sampling, SINR trials, determinism."""
 
 import math
+import tracemalloc
 import warnings
 from itertools import islice
 from unittest import mock
@@ -361,6 +362,74 @@ def test_squared_offset_chunks_match_distance_formulas_on_disks(
         _assert_plain_count(sc, 2000, seed)
 
 
+@pytest.mark.parametrize("m0", (0.5, 1.0, 1.5))
+def test_cursors_read_the_whole_chunk_draws_block_by_block(m0):
+    # after a g0 draw of any length, cursors placed from the chunk's own
+    # generator must read, a block at a time, the bits of one whole-array
+    # draw: three uniform streams in turn, then the gains. The stretch is
+    # odd, so the three streams start at different residues mod 4
+    stretch = 13
+    starts = set()
+    for n in range(1, 40):
+        rng, twin = (_rng_for_chunk(3, n) for _ in range(2))
+        for gen in (rng, twin):
+            gen.gamma(m0, 1.0 / m0, n)
+        whole = twin.random(3 * stretch)
+        gains = twin.gamma(m0, 1.0 / m0, (stretch, 2))
+        start = montecarlo._next_draw(rng)
+        starts.add(start % 4)
+        *streams, gain_rng = [montecarlo._cursor(rng, start + k * stretch)
+                              for k in range(4)]
+        for k, stream in enumerate(streams):
+            got = np.concatenate([stream.random(b) for b in (5, 1, 7)])
+            want = whole[k * stretch:(k + 1) * stretch]
+            assert got.tobytes() == want.tobytes(), (n, k)
+        got = np.concatenate([gain_rng.gamma(m0, 1.0 / m0, (rows, 2))
+                              for rows in (4, 1, 8)])
+        assert got.tobytes() == gains.tobytes(), n
+    assert starts == {0, 1, 2, 3}
+
+
+def test_chunk_memory_stays_within_a_few_blocks():
+    # a chunk holds its g0 and one block of interferer draws at a time: the
+    # peak stays under 16 arrays of BLOCK_DRAWS = 2^15 doubles, where the
+    # whole-chunk layout took 46 MiB on fig2 at M = 400 and 3000 trials.
+    # 3000 trials are no multiple of the 81-trial blocks of M = 400; past
+    # the budget each block is one trial
+    big = montecarlo.BLOCK_DRAWS + 1
+    assert 3000 % (montecarlo.BLOCK_DRAWS // 400)
+    for region, y0 in ((make_fig2_region(100.0), (33.4, 80.7)),
+                       (disk_region((0.0, 0.0), 100.0), (25.0, 0.0))):
+        for num, trials in ((400, 3000), (big, 3)):
+            sc = Scenario(region=region, receiver=y0, r0=5.0,
+                          num_interferers=num,
+                          channel=NakagamiChannel(m0=1.5, m=2.5), alpha=4.0,
+                          beta=1.0, rho0=100.0)
+            want = _plain_outage_count(sc, trials, 3) / trials
+            tracemalloc.start()
+            try:
+                got = simulate_outage(sc, trials, 3, workers=1).outage_mean
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert got == want, (region.kind, num)
+            assert peak < 4 * 2 ** 20, (region.kind, num, peak)
+
+
+@pytest.mark.parametrize("budget", (1, 6, 50))
+def test_blocks_of_any_size_count_what_the_whole_chunk_counts(budget):
+    # small budgets put many block edges inside each chunk: one trial per
+    # block where M reaches the budget, and a short last block elsewhere
+    fig2 = Scenario(region=make_fig2_region(100.0), receiver=(33.4, 80.7),
+                    r0=5.0, num_interferers=7,
+                    channel=NakagamiChannel(m0=0.5, m=1.5), alpha=3.0,
+                    beta=1.0, rho0=100.0)
+    with mock.patch.object(montecarlo, "BLOCK_DRAWS", budget), \
+            mock.patch.object(montecarlo, "CHUNK_TRIALS", 300):
+        for sc in (_fig3_scenario(25.0, 4.0, M=3), fig2):
+            _assert_plain_count(sc, 700, seed=budget)
+
+
 def test_disk_squared_offsets_match_a_long_double_distance():
     # the half-angle form against |x - y0|^2 in long double from the same
     # polar draws (rho, phi), and draw for draw with the sampler
@@ -373,7 +442,8 @@ def test_disk_squared_offsets_match_a_long_double_distance():
                                ((1.0, 1.0), 1e-3, (1.0007, 1.0007))):
         reg = disk_region(center, radius)
         rng, ref_rng = (np.random.default_rng(21) for _ in range(2))
-        got = montecarlo._squared_offsets(reg, np.array(y0), rng, size)
+        got = montecarlo._squared_offsets(reg, np.array(y0), (rng, rng),
+                                          size)
         rho = np.sqrt(ref_rng.random(size)) * radius
         phi = ref_rng.random(size) * (2.0 * np.pi)
         assert rng.random() == ref_rng.random()

@@ -114,32 +114,49 @@ def test_radial_spans_nest_in_outer_spans_on_pool_threads(monkeypatch):
 
 
 def test_default_width_chunks_reach_the_wrapped_hooks(monkeypatch):
-    # the benchmark counts chunks by the wrapped montecarlo._rng_for_chunk and
-    # times the polygon sampler by the wrapped sample_uniform_in_region;
+    # the benchmark counts chunks by the wrapped montecarlo._rng_for_chunk,
+    # and the chunks count their blocks through montecarlo._squared_offsets;
     # chunks on the default pool must still look both up as module
-    # attributes (a disk chunk draws its offsets without the sampler)
+    # attributes, the generator once per chunk and the offsets once per
+    # block, on disks and on polygons alike
+    import threading
+
     import finitenet.scenario as scenario_module
     from finitenet import (NakagamiChannel, Scenario, disk_region,
                            make_fig2_region, montecarlo)
 
     monkeypatch.setattr(scenario_module, "_CPU_WORKERS", 2)
     tracing = _tracing()
+    offsets = montecarlo._squared_offsets
 
     def traced_run(region, receiver):
         sc = Scenario(region=region, receiver=receiver, r0=5.0,
                       num_interferers=1,
                       channel=NakagamiChannel(m0=1.0, m=1.0), alpha=4.0,
                       beta=1.0, rho0=100.0)
+        calls = []
+
+        def spied(*args):
+            on_pool = threading.current_thread() is not threading.main_thread()
+            calls.append((args[0] is region, on_pool))
+            return offsets(*args)
+
+        monkeypatch.setattr(montecarlo, "_squared_offsets", spied)
         tracer = tracing.Tracer()
         try:
             tracing.install(tracer)
             montecarlo.simulate_outage(sc, 2 * montecarlo.CHUNK_TRIALS + 1, 5)
         finally:
             tracer.restore()
-        return tracer
+        return tracer, calls
 
-    disk = traced_run(disk_region((0.0, 0.0), 100.0), (25.0, 0.0))
+    # two full chunks of one-interferer blocks, then a one-trial chunk, all
+    # on the pool
+    blocks = [(True, True)] * (
+        2 * -(-montecarlo.CHUNK_TRIALS // montecarlo.BLOCK_DRAWS) + 1)
+    disk, calls = traced_run(disk_region((0.0, 0.0), 100.0), (25.0, 0.0))
     assert tracing.layer_metrics(disk, 0.0, 0.0)["montecarlo.chunks"] == 3
-    fig2 = traced_run(make_fig2_region(100.0), (33.4, 80.7))
+    assert calls == blocks
+    fig2, calls = traced_run(make_fig2_region(100.0), (33.4, 80.7))
     assert tracing.layer_metrics(fig2, 0.0, 0.0)["montecarlo.chunks"] == 3
-    assert [s[3] for s in fig2.spans].count("montecarlo.sample_uniform") == 3
+    assert calls == blocks
