@@ -27,10 +27,9 @@ from .geometry import (DistanceProfile, Region, disk_region, distance_profile,
                        region_contains)
 from .mgf import EulerInversionParams, euler_invert_cdf, outage_mgf
 from .montecarlo import McEstimate, sample_uniform_in_region, simulate_outage
-from .rlpg import (omega_expectation_table, outage_disk_center,
-                   outage_general_family, outage_rlpg, outage_rlpg_for_counts)
+from .rlpg import (outage_disk_center, outage_general_family, outage_rlpg,
+                   outage_rlpg_for_counts)
 from .scenario import OutageResult, Scenario
-from .specfun import gauss_2f1, ln_gamma
 
 __version__ = "0.1.0"
 
@@ -51,14 +50,11 @@ __all__ = [
     "disk_region",
     "distance_profile",
     "euler_invert_cdf",
-    "gauss_2f1",
     "general_cdf_eval",
     "general_fading_cdf",
-    "ln_gamma",
     "make_fig2_region",
     "make_regular_polygon",
     "nakagami_as_general_cdf",
-    "omega_expectation_table",
     "outage_disk_center",
     "outage_general_family",
     "outage_mgf",

@@ -13,13 +13,13 @@ from itertools import product
 import numpy as np
 
 from finitenet import (NakagamiChannel, Scenario, disk_region,
-                       distance_profile, euler_invert_cdf, gauss_2f1,
-                       make_fig2_region, make_regular_polygon,
-                       omega_expectation_table, outage_mgf,
-                       outage_ppp_rayleigh, outage_rlpg,
-                       outage_rlpg_for_counts, simulate_outage)
+                       distance_profile, euler_invert_cdf, make_fig2_region,
+                       make_regular_polygon, outage_mgf, outage_ppp_rayleigh,
+                       outage_rlpg, outage_rlpg_for_counts, simulate_outage)
 from finitenet.cli import (build_scenario, emit_csv,
                            max_supported_interferers, parse_scenario_config)
+from finitenet.rlpg import omega_expectation_table
+from finitenet.specfun import gauss_2f1
 
 from scalar_quad import adaptive_quad
 

@@ -1,6 +1,6 @@
-"""What a fresh interpreter loads: scipy.special only where a closed form
-needs it. The check runs in a child process, since the test session has
-scipy loaded already."""
+"""What a fresh interpreter loads: no scipy module on any engine or command,
+the series engine's 1/z hypergeometric branch included. The check runs in a
+child process, since the test session has scipy loaded already."""
 
 import json
 import os
@@ -13,18 +13,38 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 _PROBE = """
 import json, sys
 import finitenet.cli as cli
+import finitenet.specfun as specfun
+
+inverse_z = specfun._inverse_z_2f1
+calls = []
+
+def counted(*args):
+    calls.append(args)
+    return inverse_z(*args)
+
+specfun._inverse_z_2f1 = counted
+
+def scipy_loaded():
+    return any(name == "scipy" or name.startswith("scipy.")
+               for name in sys.modules)
 
 cli.build_parser()
-seen = {"start": ["scipy.special" in sys.modules, "mpmath" in sys.modules]}
-for method in ("mgf", "mc", "ppp", "rlpg"):
-    code = cli.main(["run", "--scenario", sys.argv[1], "--method", method,
-                     "--out", sys.argv[2] + method + ".csv"])
-    seen[method] = [code, "scipy.special" in sys.modules]
+seen = {"start": [scipy_loaded(), "mpmath" in sys.modules]}
+steps = [(method, ["run", "--method", method])
+         for method in ("mgf", "mc", "ppp", "rlpg")]
+steps.append(("sweep-rlpg", ["sweep", "--method", "rlpg", "--variable", "d",
+                             "--values", "0,50,99"]))
+steps.append(("maxm-rlpg", ["maxm", "--method", "rlpg", "--target", "0.05"]))
+for name, argv in steps:
+    code = cli.main(argv + ["--scenario", sys.argv[1],
+                            "--out", sys.argv[2] + name + ".csv"])
+    seen[name] = [code, scipy_loaded()]
+seen["inverse_z_calls"] = len(calls)
 print(json.dumps(seen))
 """
 
 
-def test_scipy_special_loads_at_the_first_series_closed_form(tmp_path):
+def test_no_engine_or_command_loads_scipy(tmp_path):
     scen = tmp_path / "scen.json"
     scen.write_text(json.dumps({
         "region": {"type": "disk", "params": {"radius": 100.0}},
@@ -39,9 +59,11 @@ def test_scipy_special_loads_at_the_first_series_closed_form(tmp_path):
         env=dict(os.environ, PYTHONPATH=path), capture_output=True,
         text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    # the CLI, the transform, Monte Carlo and Poisson engines never need
-    # it; the series engine's constant piece on the disk does (its 1/z
-    # hypergeometric branch)
-    assert json.loads(proc.stdout.splitlines()[-1]) == {
+    seen = json.loads(proc.stdout.splitlines()[-1])
+    # the series engine's constant piece on the disk runs the 1/z branch,
+    # whose gamma factors are computed in the package
+    assert seen.pop("inverse_z_calls") > 0
+    assert seen == {
         "start": [False, False], "mgf": [0, False], "mc": [0, False],
-        "ppp": [0, False], "rlpg": [0, True]}
+        "ppp": [0, False], "rlpg": [0, False], "sweep-rlpg": [0, False],
+        "maxm-rlpg": [0, False]}

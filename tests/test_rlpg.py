@@ -13,11 +13,12 @@ from finitenet import (InvalidParameterError, NakagamiChannel, NumericFailure,
                        Scenario, UnsupportedModelError, disk_region,
                        distance_profile, general_fading_cdf,
                        make_fig2_region, make_regular_polygon,
-                       nakagami_as_general_cdf, omega_expectation_table,
-                       outage_disk_center, outage_general_family, outage_mgf, outage_rlpg,
+                       nakagami_as_general_cdf, outage_disk_center,
+                       outage_general_family, outage_mgf, outage_rlpg,
                        outage_rlpg_for_counts, sample_uniform_in_region,
                        simulate_outage)
-from finitenet.rlpg import _clamp_unit, _constant_piece, _omega_values
+from finitenet.rlpg import (_clamp_unit, _constant_piece, _omega_values,
+                            omega_expectation_table)
 
 from fading_oracles import nakagami_reference_cdf
 from scalar_quad import adaptive_quad
@@ -190,6 +191,18 @@ def test_large_interferer_counts():
                    M=2 ** 53)
     with pytest.raises(NumericFailure, match="float range"):
         outage_rlpg(sc)
+
+
+def test_large_interferer_shape_where_2f1_gammas_overflow():
+    # at m = 170 the 1/z branch's Gamma(171.5) * Gamma(-0.5) overflows;
+    # the closed form must fall back to the library 2F1, not carry a nan
+    # into the moment table, and raise no overflow warning on the way
+    sc = _scenario(disk_region((0, 0), 100.0), (50.0, 0.0), m0=1, m=170.0,
+                   alpha=4.0, r0=100.0, M=10)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = outage_rlpg(sc).outage
+    assert abs(got - outage_mgf(sc).outage) <= 1e-6
 
 
 def test_partition_assembly_equals_composition_enumeration():
