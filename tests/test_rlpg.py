@@ -195,7 +195,7 @@ def test_large_interferer_counts():
 
 def test_large_interferer_shape_where_2f1_gammas_overflow():
     # at m = 170 the 1/z branch's Gamma(171.5) * Gamma(-0.5) overflows;
-    # the closed form must fall back to the library 2F1, not carry a nan
+    # the closed form must fall back to mpmath's 2F1, not carry a nan
     # into the moment table, and raise no overflow warning on the way
     sc = _scenario(disk_region((0, 0), 100.0), (50.0, 0.0), m0=1, m=170.0,
                    alpha=4.0, r0=100.0, M=10)
