@@ -26,7 +26,7 @@ from .geometry import (DistanceProfile, Region, disk_region, distance_profile,
                        make_fig2_region, make_regular_polygon, polygon_region,
                        region_contains)
 from .mgf import EulerInversionParams, euler_invert_cdf, outage_mgf
-from .montecarlo import McEstimate, sample_uniform_in_region, simulate_outage
+from .montecarlo import McEstimate, simulate_outage
 from .rlpg import (outage_disk_center, outage_general_family, outage_rlpg,
                    outage_rlpg_for_counts)
 from .scenario import OutageResult, Scenario
@@ -63,6 +63,5 @@ __all__ = [
     "outage_rlpg_for_counts",
     "polygon_region",
     "region_contains",
-    "sample_uniform_in_region",
     "simulate_outage",
 ]

@@ -9,8 +9,9 @@ node.
 
 import math
 import threading
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import Future
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -288,23 +289,6 @@ def _shared_kernel(scenario, rel_tol):
         return kernel
 
 
-def _sample_nodes(transform, svals):
-    """[transform(s) for s in svals] as a complex array.
-
-    The first node runs on the calling thread, so a failure there costs no
-    other node; the rest run on a pool of scenario._CPU_WORKERS threads, so
-    the width changes no number (each node's outer integral is
-    self-contained and the radial batches are memoised). A failure
-    is re-raised unchanged in node order, as the plain loop would, and the
-    nodes still queued behind it are cancelled.
-    """
-    out = np.empty(svals.size, dtype=complex)
-    out[0] = transform(svals[0])
-    with ThreadPoolExecutor(max_workers=_scenario._CPU_WORKERS) as pool:
-        out[1:] = list(pool.map(transform, svals[1:]))
-    return out
-
-
 def outage_mgf(scenario, params=None, rel_tol=QUADRATURE_REL_TOL):
     """Outage probability by inverting the Laplace transform of the
     noise-plus-interference functional at 1/beta; any shapes m0, m >= 0.5.
@@ -312,10 +296,13 @@ def outage_mgf(scenario, params=None, rel_tol=QUADRATURE_REL_TOL):
     Each Bromwich node needs one outer integral over the reference gain
     (substituted onto (0,1)) whose integrand carries the M-th power of the
     radial kernel row, computed for all outer nodes of a panel batch at
-    once. The nodes run on _sample_nodes' pool, bit-identical for any width.
-    The rows come from the process's held kernel (_shared_kernel), so calls
-    that differ only in M, rho0, r0, beta, m0 or the inversion skip the
-    batches an earlier one computed, and no number changes.
+    once. The nodes run through scenario._run_calls at width
+    scenario._CPU_WORKERS, under the CPU bound the Monte Carlo chunks
+    share, and no width changes a number: each node's outer integral is
+    self-contained and the radial batches are memoised. The rows come from
+    the process's held kernel (_shared_kernel), so calls that differ only
+    in M, rho0, r0, beta, m0 or the inversion skip the batches an earlier
+    one computed, and no number changes.
 
     abs_error is the inversion's aim 10^{-digits}, not a bound (see
     EulerInversionParams). An unsettled sum or a path loss r^alpha that
@@ -351,7 +338,11 @@ def outage_mgf(scenario, params=None, rel_tol=QUADRATURE_REL_TOL):
                                     rel_tol=rel_tol, abs_tol=1e-13)
         return val[0]
 
-    cdf = _invert_cdf(lambda svals: _sample_nodes(transform, svals), z,
-                      params)
+    def sample(svals):
+        calls = [partial(transform, s) for s in svals]
+        return np.array(_scenario._run_calls(calls, _scenario._CPU_WORKERS),
+                        dtype=complex)
+
+    cdf = _invert_cdf(sample, z, params)
     return OutageResult(outage=1.0 - cdf, method="mgf",
                         abs_error=10.0 ** (-params.accuracy_digits))

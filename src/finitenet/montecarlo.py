@@ -4,7 +4,10 @@ Trials are processed in fixed-size chunks, each driven by a counter-based
 generator keyed on (seed, chunk index). Chunk results are combined in chunk
 order, so the estimate is bit-identical no matter how many worker threads
 run the chunks. Several estimates (the Monte Carlo points of a sweep) can
-share one pool of chunks.
+share one pool of chunks. The chunks run through scenario._run_calls, so
+they and the transform engine's nodes share one process-wide bound: no
+more of them compute at once than there are CPUs. A live chunk holds its
+n reference gains and one block of draws.
 
 A chunk draws its reference gains whole, then its interferers in blocks of
 about BLOCK_DRAWS draws, so its memory does not grow with trials times
@@ -32,8 +35,6 @@ formulas only where its SINR lies that close to the threshold.
 
 import math
 import numbers
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from itertools import islice
@@ -48,17 +49,6 @@ CHUNK_TRIALS = 1 << 17
 # a chunk draws its interferers in blocks of max(1, BLOCK_DRAWS // M)
 # trials, so its arrays stay near this many draws whatever n and M
 BLOCK_DRAWS = 1 << 15
-
-# No more chunks compute at once in the whole process than there are CPUs,
-# whatever the pools and the callers' threads (the CLI runs one estimate at
-# a time, but a library caller may run several simulate_outage calls from
-# threads of its own): each live chunk keeps one CPU busy. Its memory is
-# its n reference gains and one block: on a polygon at most five arrays of
-# a block's draws while it samples (two position rows, the draws, the
-# triangle indices and one gather step), then the positions and the gains;
-# on a disk two draw arrays, then the squared offsets and the gains.
-_LIVE_CHUNKS = threading.BoundedSemaphore(_scenario._CPU_WORKERS)
-
 
 @dataclass(frozen=True)
 class McEstimate:
@@ -100,22 +90,6 @@ def _chunk_spans(trials):
     """(chunk index, trials in the chunk) for each chunk of `trials`."""
     return [(idx, min(CHUNK_TRIALS, trials - start))
             for idx, start in enumerate(range(0, trials, CHUNK_TRIALS))]
-
-
-def _map_chunks(calls, workers):
-    """[call() for call in calls], in order, on a pool of up to `workers`
-    threads; at width 1 they run on the calling thread. Every call is one
-    chunk body and holds _LIVE_CHUNKS."""
-    width = min(workers, len(calls))
-
-    def bounded(call):
-        with _LIVE_CHUNKS:
-            return call()
-
-    if width <= 1:
-        return [bounded(call) for call in calls]
-    with ThreadPoolExecutor(max_workers=width) as pool:
-        return list(pool.map(bounded, calls))
 
 
 def sample_uniform_in_region(region, rng, size=None):
@@ -312,7 +286,7 @@ def _estimate_outages(runs, workers=None):
     workers = _check_workers(workers)
     calls = [partial(chunk, idx, n) for chunk, trials, _ in runs
              for idx, n in _chunk_spans(trials)]
-    counts = iter(_map_chunks(calls, workers))
+    counts = iter(_scenario._run_calls(calls, workers))
     out = []
     for _, trials, seed in runs:
         p = sum(islice(counts, len(_chunk_spans(trials)))) / trials

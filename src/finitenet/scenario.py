@@ -3,6 +3,8 @@
 import math
 import os
 import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,12 +16,34 @@ from .geometry import Region, distance_profile, region_contains
 ALPHA_MIN = 2.0
 ALPHA_MAX = 6.0
 
-# The width of the engines' thread pools (the mgf transform nodes and the
-# Monte Carlo chunks): one thread per CPU the process may run on. The pools
-# read it through this module when they start, so one setting moves both.
-# No width changes a number.
+# The number of CPUs the process may run on. It is the default width of
+# the engines' thread pools (the mgf transform nodes and the Monte Carlo
+# chunks), which read it through this module when they start, and the
+# number of _CPU_SLOTS. No width changes a number.
 _CPU_WORKERS = (len(os.sched_getaffinity(0))
                 if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
+
+# Every call of _run_calls (a transform node or a Monte Carlo chunk) holds
+# one slot while it runs, so no more of them compute at once in the whole
+# process than there are CPUs, whatever the pools and the callers' threads.
+_CPU_SLOTS = threading.BoundedSemaphore(_CPU_WORKERS)
+
+
+def _run_calls(calls, width):
+    """[call() for call in calls], in order: on the calling thread at width
+    1, otherwise on a pool of min(width, len(calls)) threads, each call
+    holding one of the _CPU_SLOTS. A failure is re-raised in call order,
+    and the calls still queued behind it are cancelled."""
+    def bounded(call):
+        with _CPU_SLOTS:
+            return call()
+
+    width = min(width, len(calls))
+    if width <= 1:
+        return [bounded(call) for call in calls]
+    with ThreadPoolExecutor(max_workers=width) as pool:
+        return list(pool.map(bounded, calls))
+
 
 # The largest interferer count: the engines carry M as a float.
 MAX_INTERFERERS = MAX_WHOLE

@@ -15,7 +15,7 @@ import finitenet.montecarlo as montecarlo
 import finitenet.scenario as scenario_module
 from finitenet import (EulerInversionParams, NumericFailure,
                        ScenarioParseError, make_fig2_region, outage_mgf,
-                       outage_rlpg)
+                       outage_rlpg, simulate_outage)
 from finitenet.cli import (MAXM_HEADER, RUN_HEADER, apply_sweep_value,
                            build_region, build_scenario, evaluate_scenario,
                            load_scenario_config, main,
@@ -920,9 +920,11 @@ def test_mgf_snr_sweep_computes_each_radial_batch_once(monkeypatch):
 
 def test_failure_in_shared_radial_batch_is_exit_three(tmp_path, capsys,
                                                       monkeypatch):
-    # every point of the sweep asks first for the same batch (the first
-    # Bromwich node on the initial panels); its one computation fails on
-    # the first point, and the sweep stops there
+    # at width 1 the nodes run in order on this thread, so every point of
+    # the sweep asks first for the same batch (the first Bromwich node on
+    # the initial panels); its one computation fails on the first point,
+    # and the sweep stops there
+    monkeypatch.setattr(scenario_module, "_CPU_WORKERS", 1)
     calls = []
 
     def boom(profile, m, alpha, q, rel_tol):
@@ -940,7 +942,7 @@ def test_failure_in_shared_radial_batch_is_exit_three(tmp_path, capsys,
 
 def test_failure_in_a_later_transform_node_is_exit_three(tmp_path, capsys,
                                                          monkeypatch):
-    # the 20th batch belongs to a node on the pool, past the first node
+    # the 20th batch belongs to a node past the first
     monkeypatch.setattr(scenario_module, "_CPU_WORKERS", 2)
     rows = mgf._radial_mixture_rows
     calls = []
@@ -977,29 +979,45 @@ def test_chunk_pool_width_changes_no_csv_byte(tmp_path, monkeypatch):
     assert outputs[1] == outputs[2] == outputs[4]
 
 
-def _peak_live_chunks(tmp_path, monkeypatch, trials, width):
-    """Most chunks computing at once in a 4-point M sweep of `trials`
-    trials per point, on a pool and a live-chunk bound of `width`."""
+def _cpu_bound(monkeypatch, width):
+    """Pools of `width` threads and a process-wide bound of `width` calls."""
     monkeypatch.setattr(scenario_module, "_CPU_WORKERS", width)
-    monkeypatch.setattr(montecarlo, "_LIVE_CHUNKS",
+    monkeypatch.setattr(scenario_module, "_CPU_SLOTS",
                         threading.BoundedSemaphore(width))
-    offsets = montecarlo._squared_offsets
+
+
+def _count_live(monkeypatch, targets, pause):
+    """Wrap each (module, name) of targets so that its calls count as live
+    while they run, after a sleep of `pause` seconds so that threads
+    overlap; returns a one-item list holding the most calls live at once."""
     lock = threading.Lock()
-    live = []
+    live = [0]
     peak = [0]
 
-    def counted(*args, **kwargs):
-        with lock:
-            live.append(1)
-            peak[0] = max(peak[0], len(live))
-        try:
-            time.sleep(0.02)   # long enough for the threads to overlap
-            return offsets(*args, **kwargs)
-        finally:
+    def counted(fn):
+        def wrapper(*args, **kwargs):
             with lock:
-                live.pop()
+                live[0] += 1
+                peak[0] = max(peak[0], live[0])
+            try:
+                time.sleep(pause)
+                return fn(*args, **kwargs)
+            finally:
+                with lock:
+                    live[0] -= 1
+        return wrapper
 
-    monkeypatch.setattr(montecarlo, "_squared_offsets", counted)
+    for module, name in targets:
+        monkeypatch.setattr(module, name, counted(getattr(module, name)))
+    return peak
+
+
+def _peak_live_chunks(tmp_path, monkeypatch, trials, width):
+    """Most chunks computing at once in a 4-point M sweep of `trials`
+    trials per point, on a pool and a CPU bound of `width`."""
+    _cpu_bound(monkeypatch, width)
+    offsets = montecarlo._squared_offsets
+    peak = _count_live(monkeypatch, [(montecarlo, "_squared_offsets")], 0.02)
     try:
         path = _write(tmp_path, _mc_raw(trials))
         assert main(["sweep", "--scenario", path,
@@ -1037,28 +1055,48 @@ def test_sweep_runs_no_more_radial_integrals_at_once_than_the_width(
     # a sweep evaluates its points in order on the calling thread, so the
     # only parallel work is each point's own transform-node pool
     width = 2
-    monkeypatch.setattr(scenario_module, "_CPU_WORKERS", width)
-    rows = mgf._radial_mixture_rows
-    lock = threading.Lock()
-    live = [0]
-    peak = [0]
-
-    def counted(profile, m, alpha, q, rel_tol):
-        with lock:
-            live[0] += 1
-            peak[0] = max(peak[0], live[0])
-        try:
-            time.sleep(0.001)   # long enough for the threads to overlap
-            return rows(profile, m, alpha, q, rel_tol)
-        finally:
-            with lock:
-                live[0] -= 1
-
-    monkeypatch.setattr(mgf, "_radial_mixture_rows", counted)
+    _cpu_bound(monkeypatch, width)
+    peak = _count_live(monkeypatch, [(mgf, "_radial_mixture_rows")], 0.001)
     assert main(["sweep", "--scenario", _write(tmp_path, _mgf_rim_raw()),
                  "--out", str(tmp_path / "o.csv"), "--variable", "d",
                  "--values", "40,60,80,100", "--method", "mgf"]) == 0
     assert peak[0] == width
+
+
+def test_engines_on_caller_threads_share_one_cpu_bound(monkeypatch):
+    # outage_mgf beside simulate_outage, then two outage_mgf calls, each
+    # from a caller thread of its own: their radial batches and chunks
+    # together never compute on more threads than the bound, and every
+    # result is the serial call's, bit for bit
+    width = 2
+    _cpu_bound(monkeypatch, width)
+    monkeypatch.setattr(montecarlo, "CHUNK_TRIALS", 1000)
+    rim = build_scenario(parse_scenario_config(_mgf_rim_raw()))
+    fig2 = make_fig2_region(100.0)
+    vertex = replace(rim, region=fig2, receiver=fig2.vertices[1])
+    runs = {"rim": lambda: outage_mgf(rim, rel_tol=1e-6),
+            "vertex": lambda: outage_mgf(vertex, rel_tol=1e-6),
+            "mc": lambda: simulate_outage(vertex, 40_000, 7)}
+    serial = {}
+    for name, run in runs.items():
+        mgf._held_kernel = None
+        serial[name] = run()
+    peak = _count_live(monkeypatch, [(mgf, "_radial_mixture_rows"),
+                                     (montecarlo, "_squared_offsets")], 0.002)
+    for pair in (("rim", "mc"), ("rim", "vertex")):
+        mgf._held_kernel = None
+        peak[0] = 0
+        got = {}
+        threads = [threading.Thread(
+            target=lambda name=name: got.update({name: runs[name]()}))
+            for name in pair]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=300)
+            assert not t.is_alive()
+        assert got == {name: serial[name] for name in pair}
+        assert peak[0] == width, pair
 
 
 def _run_cells(tmp_path, raw, method):

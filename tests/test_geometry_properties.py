@@ -2,13 +2,13 @@
 polygons, with receivers in the interior, on an edge and at a vertex, of
 its arc measure against the plain-formula version bit for bit, of the
 series engine's moments against an all-quadrature oracle, and of its
-outage against the exponential-polynomial family on the same law."""
+outage against the exponential-polynomial family on the same law. The
+cases come from seeded generators (seeded_cases), so every host draws the
+same ones."""
 
 import math
 
 import numpy as np
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from finitenet import (NakagamiChannel, NumericFailure, Scenario, disk_region,
                        distance_profile, geometry, make_fig2_region,
@@ -20,42 +20,45 @@ from finitenet.quadrature import adaptive_rows_quad
 from geometry_oracles import (clip_cdf, polygon_arc_measure_plain,
                               segment_corner_pdf)
 from scalar_quad import adaptive_quad
+from seeded_cases import check_cases
 
 TWO_PI = 2.0 * math.pi
 
 
-@st.composite
 def polygons(draw):
     """Vertices at distinct angles on a rotated, shifted ellipse."""
-    n = draw(st.integers(3, 8))
-    gaps = np.array(draw(st.lists(st.floats(0.2, 1.0), min_size=n,
-                                  max_size=n)))
-    ang = draw(st.floats(0.0, TWO_PI)) \
+    n = draw.integers(3, 8)
+    gaps = np.array([draw.floats(0.2, 1.0) for _ in range(n)])
+    ang = draw.floats(0.0, TWO_PI) \
         + TWO_PI * (np.cumsum(gaps) - gaps[0]) / gaps.sum()
-    squash = draw(st.floats(0.3, 1.0))
-    rot = draw(st.floats(0.0, math.pi))
-    scale = draw(st.floats(0.1, 1000.0))
-    shift = np.array(draw(st.tuples(st.floats(-2.0, 2.0),
-                                    st.floats(-2.0, 2.0)))) * scale
+    squash = draw.floats(0.3, 1.0)
+    rot = draw.floats(0.0, math.pi)
+    scale = draw.log_floats(0.1, 1000.0)
+    shift = np.array([draw.floats(-2.0, 2.0),
+                      draw.floats(-2.0, 2.0)]) * scale
     x, y = np.cos(ang), squash * np.sin(ang)
     c, s = math.cos(rot), math.sin(rot)
     return polygon_region(
         scale * np.column_stack([c * x - s * y, s * x + c * y]) + shift)
 
 
-@st.composite
 def polygon_and_receiver(draw, kind):
-    reg = draw(polygons())
+    reg = polygons(draw)
     v = reg.vertices
     n = v.shape[0]
-    i = draw(st.integers(0, n - 1))
+    i = draw.integers(0, n - 1)
     if kind == "vertex":
         return reg, v[i]
     if kind == "edge":
-        t = draw(st.floats(0.05, 0.95))
+        t = draw.floats(0.05, 0.95)
         return reg, v[i] + t * (v[(i + 1) % n] - v[i])
-    w = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n)))
+    w = np.array([draw.floats(0.05, 1.0) for _ in range(n)])
     return reg, (w / w.sum()) @ v
+
+
+def receivers_at(kind):
+    """Case generator of (polygon, receiver) with the receiver at kind."""
+    return lambda draw: polygon_and_receiver(draw, kind)
 
 
 def _check_profile(reg, y0):
@@ -94,32 +97,22 @@ def _check_profile(reg, y0):
         assert np.all(np.diff(theta) < 0.0)
 
 
-@settings(max_examples=150)
-@given(polygon_and_receiver("interior"))
-def test_interior_receiver_profile(case):
-    _check_profile(*case)
+def test_interior_receiver_profile():
+    check_cases(_check_profile, receivers_at("interior"), 150, seed=1)
 
 
-@settings(max_examples=150)
-@given(polygon_and_receiver("edge"))
-def test_edge_receiver_profile(case):
-    _check_profile(*case)
+def test_edge_receiver_profile():
+    check_cases(_check_profile, receivers_at("edge"), 150, seed=2)
 
 
-@settings(max_examples=150)
-@given(polygon_and_receiver("vertex"))
-def test_vertex_receiver_profile(case):
-    _check_profile(*case)
+def test_vertex_receiver_profile():
+    check_cases(_check_profile, receivers_at("vertex"), 150, seed=3)
 
 
-@settings(max_examples=150)
-@given(st.sampled_from(["interior", "edge", "vertex"])
-       .flatmap(polygon_and_receiver))
-def test_arc_measure_matches_plain_formulas_bit_for_bit(case):
+def _check_arc_measure(reg, y0):
     # every side and vertex distance is a radius where an arc opens or two
     # arcs meet; 0, -0.0, r_max and the radii outside the support are the
     # edge cases of the masks
-    reg, y0 = case
     _, _, p, phi, vdist = geometry._side_frames(reg, geometry._as_xy(y0))
     r_max = float(vdist.max())
     r = np.concatenate([np.linspace(0.0, r_max, 129), p, vdist,
@@ -128,6 +121,13 @@ def test_arc_measure_matches_plain_formulas_bit_for_bit(case):
     got = geometry._polygon_arc_measure(p, phi, r_max, r)
     want = polygon_arc_measure_plain(p, phi, r_max, r)
     assert got.tobytes() == want.tobytes()
+
+
+def test_arc_measure_matches_plain_formulas_bit_for_bit():
+    check_cases(_check_arc_measure,
+                lambda draw: polygon_and_receiver(
+                    draw, draw.sampled_from(("interior", "edge", "vertex"))),
+                150, seed=4)
 
 
 def _omega_by_quadrature(prof, ts, m, alpha, c):
@@ -144,12 +144,11 @@ def _omega_by_quadrature(prof, ts, m, alpha, c):
     return vals
 
 
-@st.composite
 def moment_params(draw):
     """Interferer shape m, path-loss exponent and the tilt c as a multiple
     of r_max^alpha (the kernel's knee sits at r ~ (c/m)^(1/alpha))."""
-    return (draw(st.floats(0.5, 3.0)), draw(st.floats(2.0, 6.0)),
-            draw(st.floats(-3.0, 1.0)))
+    return (draw.floats(0.5, 3.0), draw.floats(2.0, 6.0),
+            draw.floats(-3.0, 1.0))
 
 
 def _check_moments(reg, y0, params):
@@ -162,41 +161,41 @@ def _check_moments(reg, y0, params):
     assert np.all(np.abs(got - want) <= 1e-10 * np.abs(want)), (got, want)
 
 
-@st.composite
 def disk_and_receiver(draw):
     """Disk receivers at the centre, inside, on the rim and within rounding
     of the rim, where W - d falls below the breakpoint tolerance."""
-    radius = draw(st.floats(0.1, 1000.0))
-    frac = draw(st.one_of(st.just(0.0), st.floats(0.0, 1.0),
-                          st.sampled_from([1.0 - 1e-13, 1.0 - 1e-11, 1.0])))
-    ang = draw(st.floats(0.0, TWO_PI))
+    radius = draw.log_floats(0.1, 1000.0)
+    frac = draw.sampled_from((
+        lambda: 0.0, lambda: draw.floats(0.0, 1.0),
+        lambda: draw.sampled_from((1.0 - 1e-13, 1.0 - 1e-11, 1.0))))()
+    ang = draw.floats(0.0, TWO_PI)
     d = frac * radius
     return disk_region((0.0, 0.0), radius), (d * math.cos(ang),
                                              d * math.sin(ang))
 
 
-@settings(max_examples=30)
-@given(polygon_and_receiver("interior"), moment_params())
-def test_interior_receiver_moments(case, params):
-    _check_moments(*case, params)
+def _with_moment_params(receivers):
+    return lambda draw: (*receivers(draw), moment_params(draw))
 
 
-@settings(max_examples=30)
-@given(polygon_and_receiver("edge"), moment_params())
-def test_edge_receiver_moments(case, params):
-    _check_moments(*case, params)
+def test_interior_receiver_moments():
+    check_cases(_check_moments, _with_moment_params(receivers_at("interior")),
+                30, seed=5)
 
 
-@settings(max_examples=30)
-@given(polygon_and_receiver("vertex"), moment_params())
-def test_vertex_receiver_moments(case, params):
-    _check_moments(*case, params)
+def test_edge_receiver_moments():
+    check_cases(_check_moments, _with_moment_params(receivers_at("edge")),
+                30, seed=6)
 
 
-@settings(max_examples=30)
-@given(disk_and_receiver(), moment_params())
-def test_disk_receiver_moments(case, params):
-    _check_moments(*case, params)
+def test_vertex_receiver_moments():
+    check_cases(_check_moments, _with_moment_params(receivers_at("vertex")),
+                30, seed=7)
+
+
+def test_disk_receiver_moments():
+    check_cases(_check_moments, _with_moment_params(disk_and_receiver),
+                30, seed=8)
 
 
 def test_moments_fall_back_to_quadrature_without_the_closed_form(
@@ -223,20 +222,21 @@ def test_moments_fall_back_to_quadrature_without_the_closed_form(
     assert len(refused) == 2
 
 
-@st.composite
 def outage_scenarios(draw):
     """A random region and receiver (polygon interior, edge or vertex, or a
-    disk) with an integer reference shape m0 in 1-30."""
-    kind = draw(st.sampled_from(["interior", "edge", "vertex", "disk"]))
-    reg, y0 = draw(disk_and_receiver() if kind == "disk"
-                   else polygon_and_receiver(kind))
-    m, alpha, _ = draw(moment_params())
-    return Scenario(
-        region=reg, receiver=y0, r0=draw(st.floats(0.01, 0.2)) * reg.scale,
-        num_interferers=draw(st.integers(0, 11)),
-        channel=NakagamiChannel(m0=draw(st.integers(1, 30)), m=m),
-        alpha=alpha, beta=10.0 ** draw(st.floats(-1.0, 1.0)),
-        rho0=10.0 ** draw(st.floats(0.0, 3.0)))
+    disk) with an integer reference shape m0 in 1-30, as a 1-tuple. m0 is
+    drawn uniform in its logarithm: a count scan at m0 near 30 takes
+    seconds."""
+    kind = draw.sampled_from(("interior", "edge", "vertex", "disk"))
+    reg, y0 = (disk_and_receiver(draw) if kind == "disk"
+               else polygon_and_receiver(draw, kind))
+    m, alpha, _ = moment_params(draw)
+    return (Scenario(
+        region=reg, receiver=y0, r0=draw.floats(0.01, 0.2) * reg.scale,
+        num_interferers=draw.integers(0, 11),
+        channel=NakagamiChannel(m0=round(draw.log_floats(1.0, 30.0)), m=m),
+        alpha=alpha, beta=10.0 ** draw.floats(-1.0, 1.0),
+        rho0=10.0 ** draw.floats(0.0, 3.0)),)
 
 
 def _outcome(engine, *args):
@@ -246,9 +246,7 @@ def _outcome(engine, *args):
         return str(exc)
 
 
-@settings(max_examples=40)
-@given(outage_scenarios())
-def test_series_outage_matches_general_family(sc):
+def _check_series_outage(sc):
     # the integer-shape Nakagami law as an exponential polynomial runs the
     # same moments and assembly as the series engine, so both give the same
     # number, or both refuse with the same message (a moment table that
@@ -262,3 +260,7 @@ def test_series_outage_matches_general_family(sc):
     eps = outage_rlpg_for_counts(sc, range(25))
     assert all(0.0 <= e <= 1.0 for e in eps)
     assert all(a <= b for a, b in zip(eps, eps[1:])), eps
+
+
+def test_series_outage_matches_general_family():
+    check_cases(_check_series_outage, outage_scenarios, 40, seed=9)

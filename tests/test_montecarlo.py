@@ -8,17 +8,17 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import finitenet.montecarlo as montecarlo
 from finitenet import (InvalidParameterError, NakagamiChannel, NumericFailure,
                        Scenario, disk_region, make_fig2_region,
                        make_regular_polygon, outage_rlpg, polygon_region,
-                       sample_uniform_in_region, simulate_outage)
-from finitenet.montecarlo import _chunk_spans, _rng_for_chunk
+                       simulate_outage)
+from finitenet.montecarlo import (_chunk_spans, _rng_for_chunk,
+                                  sample_uniform_in_region)
 
 from geometry_oracles import clip_cdf, sample_uniform_plain
+from seeded_cases import check_cases
 from test_geometry_properties import polygons
 
 KS_CRIT_1PCT = 1.62762  # asymptotic one-sample Kolmogorov-Smirnov, alpha=0.01
@@ -225,10 +225,10 @@ def test_sampler_matches_plain_formulas():
         assert pts[:, 0].flags.c_contiguous and pts[:, 1].flags.c_contiguous
 
 
-@settings(max_examples=30)
-@given(polygons(), st.integers(0, 2 ** 32 - 1))
-def test_sampler_matches_plain_formulas_on_convex_polygons(reg, seed):
-    _assert_sampler_matches_plain_formulas(reg, seed)
+def test_sampler_matches_plain_formulas_on_convex_polygons():
+    check_cases(_assert_sampler_matches_plain_formulas,
+                lambda draw: (polygons(draw), draw.integers(0, 2 ** 32 - 1)),
+                30, seed=10)
 
 
 class _GivenDraws:
@@ -324,12 +324,7 @@ def test_squared_offset_chunks_count_what_the_distance_formulas_count():
         _assert_plain_count(sc, trials, seed=11)
 
 
-@settings(max_examples=25)
-@given(polygons(), st.sampled_from(("vertex", "edge", "centroid")),
-       st.integers(0, 16), st.floats(2.0, 6.0), st.integers(1, 4),
-       st.sampled_from((0.5, 1.0, 2.5)), st.integers(0, 2 ** 32 - 1))
-def test_squared_offset_chunks_match_distance_formulas_on_polygons(
-        reg, where, index, alpha, num, m, seed):
+def _check_polygon_chunks(reg, where, index, alpha, num, m, seed):
     v = reg.vertices
     i = index % len(v)
     y0 = {"vertex": v[i], "edge": 0.5 * (v[i] + v[(i + 1) % len(v)]),
@@ -342,14 +337,19 @@ def test_squared_offset_chunks_match_distance_formulas_on_polygons(
         _assert_plain_count(sc, 2000, seed)
 
 
-@settings(max_examples=25)
-@given(st.floats(0.1, 1000.0), st.tuples(st.floats(-2.0, 2.0),
-                                         st.floats(-2.0, 2.0)),
-       st.sampled_from(("centre", "inside", "rim")), st.floats(0.05, 0.95),
-       st.floats(0.0, 2.0 * math.pi), st.floats(2.0, 6.0), st.integers(1, 4),
-       st.sampled_from((0.5, 1.0, 2.5)), st.integers(0, 2 ** 32 - 1))
-def test_squared_offset_chunks_match_distance_formulas_on_disks(
-        radius, shift, where, frac, angle, alpha, num, m, seed):
+def test_squared_offset_chunks_match_distance_formulas_on_polygons():
+    def case(draw):
+        return (polygons(draw),
+                draw.sampled_from(("vertex", "edge", "centroid")),
+                draw.integers(0, 16), draw.floats(2.0, 6.0),
+                draw.integers(1, 4), draw.sampled_from((0.5, 1.0, 2.5)),
+                draw.integers(0, 2 ** 32 - 1))
+
+    check_cases(_check_polygon_chunks, case, 25, seed=11)
+
+
+def _check_disk_chunks(radius, shift, where, frac, angle, alpha, num, m,
+                       seed):
     # receivers off the x-axis too, so the receiver's polar angle is not 0
     center = np.array(shift) * radius
     off = {"centre": 0.0, "inside": frac, "rim": 1.0}[where] * radius
@@ -360,6 +360,19 @@ def test_squared_offset_chunks_match_distance_formulas_on_disks(
                   beta=1.0, rho0=100.0)
     with mock.patch.object(montecarlo, "CHUNK_TRIALS", 700):
         _assert_plain_count(sc, 2000, seed)
+
+
+def test_squared_offset_chunks_match_distance_formulas_on_disks():
+    def case(draw):
+        return (draw.log_floats(0.1, 1000.0),
+                (draw.floats(-2.0, 2.0), draw.floats(-2.0, 2.0)),
+                draw.sampled_from(("centre", "inside", "rim")),
+                draw.floats(0.05, 0.95), draw.floats(0.0, 2.0 * math.pi),
+                draw.floats(2.0, 6.0), draw.integers(1, 4),
+                draw.sampled_from((0.5, 1.0, 2.5)),
+                draw.integers(0, 2 ** 32 - 1))
+
+    check_cases(_check_disk_chunks, case, 25, seed=12)
 
 
 @pytest.mark.parametrize("m0", (0.5, 1.0, 1.5))

@@ -15,8 +15,8 @@ from finitenet import (InvalidParameterError, NakagamiChannel, NumericFailure,
                        make_fig2_region, make_regular_polygon,
                        nakagami_as_general_cdf, outage_disk_center,
                        outage_general_family, outage_mgf, outage_rlpg,
-                       outage_rlpg_for_counts, sample_uniform_in_region,
-                       simulate_outage)
+                       outage_rlpg_for_counts, simulate_outage)
+from finitenet.montecarlo import sample_uniform_in_region
 from finitenet.rlpg import (_clamp_unit, _constant_piece, _omega_values,
                             omega_expectation_table)
 
