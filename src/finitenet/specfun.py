@@ -241,6 +241,8 @@ def gauss_2f1(a, b, c, z):
 
 
 # ----- integer partitions with placement counts -----
+# The partition form of the interference moment sums: the reference that the
+# series engine's truncated power series is tested against.
 
 @dataclass(frozen=True)
 class PartitionTerm:

@@ -257,7 +257,7 @@ def _check_series_outage(sc):
                     nakagami_as_general_cdf(m0)) == series
     if isinstance(series, str):
         return
-    eps = outage_rlpg_for_counts(sc, range(25))
+    eps = outage_rlpg_for_counts(sc, range(65))
     assert all(0.0 <= e <= 1.0 for e in eps)
     assert all(a <= b for a, b in zip(eps, eps[1:])), eps
 

@@ -1,5 +1,6 @@
-"""Integer-shape outage engine: moment integrals, partition assembly, the
-general exponential-polynomial reference law, and physical sanity bounds."""
+"""Integer-shape outage engine: moment integrals, the power-series assembly
+against the partition and composition sums, the general
+exponential-polynomial reference law, and physical sanity bounds."""
 
 import math
 import warnings
@@ -15,13 +16,16 @@ from finitenet import (InvalidParameterError, NakagamiChannel, NumericFailure,
                        make_fig2_region, make_regular_polygon,
                        nakagami_as_general_cdf, outage_disk_center,
                        outage_general_family, outage_mgf, outage_rlpg,
-                       outage_rlpg_for_counts, simulate_outage)
+                       outage_rlpg_for_counts, rlpg, simulate_outage)
 from finitenet.montecarlo import sample_uniform_in_region
-from finitenet.rlpg import (_clamp_unit, _constant_piece, _omega_values,
+from finitenet.rlpg import (_clamp_unit, _constant_piece,
+                            _interference_moment_sums, _omega_values,
                             omega_expectation_table)
+from finitenet.specfun import enumerate_weighted_partitions
 
 from fading_oracles import nakagami_reference_cdf
 from scalar_quad import adaptive_quad
+from seeded_cases import check_cases
 
 
 def _scenario(region, receiver, m0, m, alpha=3.0, r0=5.0, M=10, beta=1.0,
@@ -181,16 +185,83 @@ def test_outage_for_counts_matches_individual_calls():
 
 
 def test_large_interferer_counts():
-    # a million Rayleigh interferers drown the link; the placement counts
-    # are exact integers, so the assembly stays cheap
+    # a million Rayleigh interferers drown the link
     sc = _scenario(disk_region((0, 0), 100.0), (25.0, 0.0), m0=1, m=1.0,
                    M=10 ** 6)
     assert outage_rlpg(sc).outage == 1.0
-    # at M = 2^53 the placements of 24 moments pass the float range
+    # at M = 2^53 and m0 = 25, e0^M is about 10^(-1.8e14) while the
+    # normalized coefficients j! c_j stay below 10^263: every S_j is 0 in
+    # double precision and the outage is 1
     sc = _scenario(disk_region((0, 0), 100.0), (25.0, 0.0), m0=25, m=1.0,
                    M=2 ** 53)
+    assert outage_rlpg(sc).outage == 1.0
+    # with r0 = 0.1 and alpha = 6, j! c_j reaches about 10^351: refused
+    sc = _scenario(disk_region((0, 0), 100.0), (25.0, 0.0), m0=25, m=1.0,
+                   alpha=6.0, r0=0.1, M=2 ** 53)
     with pytest.raises(NumericFailure, match="float range"):
         outage_rlpg(sc)
+
+
+def _partition_moment_sums(values, num_interferers, max_j):
+    """S_j summed over the partitions of j, each weighted by its node
+    placements and multinomial coefficient: the reference form of the
+    interference moment sums."""
+    e0 = values[0]
+    return [math.fsum(term.arrangement_count * term.multinomial_weight
+                      * math.prod(values[t] for t in term.parts)
+                      * e0 ** (num_interferers - len(term.parts))
+                      for term in enumerate_weighted_partitions(
+                          j, num_interferers))
+            for j in range(max_j + 1)]
+
+
+def _moment_tables(draw):
+    """A random positive table of m0 <= 30 moments and an interferer count:
+    M <= 59, or one in eight near 10^6 with the table's tilt scaled to
+    1/M so that the sums neither underflow nor overflow."""
+    m0 = round(draw.log_floats(1.0, 30.0))
+    if draw.integers(0, 7):
+        M = draw.integers(0, 59)
+        values = [draw.floats(0.01, 1.0)] + [draw.log_floats(1e-3, 1e3)
+                                             for _ in range(1, m0)]
+    else:
+        M = draw.integers(10 ** 6 - 10, 10 ** 6 + 10)
+        e0 = math.exp(-draw.floats(0.1, 20.0) / M)
+        values = [e0] + [e0 * math.factorial(t) * draw.log_floats(0.1, 10.0)
+                         / M for t in range(1, m0)]
+    return values, M
+
+
+def _check_moment_sums(values, num_interferers):
+    max_j = len(values) - 1
+    got = _interference_moment_sums(values, num_interferers, max_j)
+    want = _partition_moment_sums(values, num_interferers, max_j)
+    for j, (g, w) in enumerate(zip(got, want)):
+        assert abs(g - w) <= 1e-13 * w, (j, g, w)
+
+
+def test_moment_sums_match_the_partition_sum():
+    check_cases(_check_moment_sums, _moment_tables, 150, seed=24)
+
+
+def test_no_product_path_enumerates_partitions(monkeypatch):
+    # rlpg keeps the partition enumerator's name only for the benchmark's
+    # tracer hook: with it refusing, every series entry point gives the
+    # same numbers
+    sc = _scenario(make_fig2_region(100.0), (40.0, 30.0), m0=4, m=2.0)
+    family = nakagami_as_general_cdf(4)
+
+    def numbers():
+        return (outage_rlpg(sc).outage, outage_rlpg_for_counts(sc, range(9)),
+                outage_general_family(sc, family).outage)
+
+    before = numbers()
+
+    def refuse(*args):
+        raise AssertionError("partitions enumerated on a product path")
+
+    monkeypatch.setattr(rlpg, "enumerate_weighted_partitions", refuse)
+    assert numbers() == before
 
 
 def test_large_interferer_shape_where_2f1_gammas_overflow():
@@ -207,7 +278,7 @@ def test_large_interferer_shape_where_2f1_gammas_overflow():
 
 def test_partition_assembly_equals_composition_enumeration():
     # rebuild the outage from raw weak compositions of every moment order
-    # and compare against the partition-collapsed assembly
+    # and compare against the power-series assembly
     def compositions(j, parts):
         if parts == 1:
             yield (j,)
@@ -316,6 +387,8 @@ def test_clamp_policy():
         _clamp_unit(-5e-9, "x")
     with pytest.raises(NumericFailure):
         _clamp_unit(1.0 + 5e-9, "x")
+    with pytest.raises(NumericFailure, match="nan"):
+        _clamp_unit(float("nan"), "x")
 
 
 def test_fig3_style_point_against_simulation():
