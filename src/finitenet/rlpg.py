@@ -11,7 +11,6 @@ elsewhere.
 
 import cmath
 import math
-import sys
 import warnings
 
 import numpy as np
@@ -33,6 +32,9 @@ _OMEGA_REL_TOL = 1e-11
 # sums adds positive terms only (a few ulps), so round-off in the
 # alternating-sign assembly dominates.
 _RLPG_ABS_ERROR = 1e-9
+# the largest j whose j! is a float: the highest aggregate moment S_j the
+# power series forms
+_MAX_ORDER = 170
 
 
 def _kernel_lead(ts, m):
@@ -145,30 +147,29 @@ def _interference_moment_sums(values, num_interferers, max_j):
     num_interferers i.i.d. terms whose moments E{ exp(-c T) T^t } are
     values[t]: S_j = e0^M j! [x^j] (1 + sum_t values[t] x^t / (e0 t!))^M,
     e0 = values[0], with the power taken by binary powering truncated at
-    degree max_j. Every coefficient is positive, so nothing cancels."""
+    degree max_j. Every coefficient is positive, so nothing cancels. The
+    j! are floats, so max_j is at most 170 (reference shape m0 <= 171)."""
+    if max_j > _MAX_ORDER:
+        raise NumericFailure(
+            f"moment sums up to order {max_j} need {max_j}! past the float "
+            f"range; the series engine takes orders up to {_MAX_ORDER} "
+            f"(m0 <= {_MAX_ORDER + 1})")
+    e0 = values[0]
     try:
-        e0 = values[0]
         lead = e0 ** num_interferers
-        base = [1.0] + [values[t] / (e0 * math.factorial(t))
-                        for t in range(1, max_j + 1)]
-        coefs = [1.0] + [0.0] * max_j
-        n = num_interferers
-        while n:
-            if n & 1:
-                coefs = _truncated_product(coefs, base)
-            n >>= 1
-            if n:
-                base = _truncated_product(base, base)
-        out = []
-        for j, c in enumerate(coefs):
-            c *= math.factorial(j)
-            if lead >= sys.float_info.min or c <= 1.0:
-                out.append(lead * c)
-            else:   # e0^M underflows: keep its exponent out of the product
-                out.append(math.exp(num_interferers * math.log(e0)
-                                    + math.log(c)))
-    except OverflowError:
-        out = [math.inf]
+    except OverflowError:   # a quadrature e0 a few ulps above 1, M huge
+        lead = math.inf
+    base = [1.0] + [values[t] / (e0 * math.factorial(t))
+                    for t in range(1, max_j + 1)]
+    coefs = [1.0] + [0.0] * max_j
+    n = num_interferers
+    while n:
+        if n & 1:
+            coefs = _truncated_product(coefs, base)
+        n >>= 1
+        if n:
+            base = _truncated_product(base, base)
+    out = [lead * (c * math.factorial(j)) for j, c in enumerate(coefs)]
     if not all(map(math.isfinite, out)):
         raise NumericFailure(f"moment sums over {num_interferers} "
                              "interferers exceed the float range")

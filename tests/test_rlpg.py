@@ -200,6 +200,25 @@ def test_large_interferer_counts():
                    alpha=6.0, r0=0.1, M=2 ** 53)
     with pytest.raises(NumericFailure, match="float range"):
         outage_rlpg(sc)
+    # a quadrature e0 a rounding above 1 makes e0^M overflow at M = 2^53
+    with pytest.raises(NumericFailure, match="float range"):
+        _interference_moment_sums([1.0 + 1e-12, 1.0], 2 ** 53, 1)
+
+
+def test_moment_sums_stop_where_factorials_leave_the_float_range():
+    # 170! is the last float factorial: orders up to 170 (m0 = 171) are
+    # summed, at any count, and order 171 is refused by name, even at M = 0
+    sums = _interference_moment_sums([0.5] * 171, 0, 170)
+    assert sums == [1.0] + [0.0] * 170
+    assert all(0.0 < s < math.inf
+               for s in _interference_moment_sums([0.5] * 171, 3, 170))
+    for num_interferers in (0, 3):
+        with pytest.raises(NumericFailure, match=r"m0 <= 171"):
+            _interference_moment_sums([0.5] * 172, num_interferers, 171)
+    sc = _scenario(disk_region((0, 0), 100.0), (25.0, 0.0), m0=172, m=1.0,
+                   alpha=2.0, r0=0.1, M=5)
+    with pytest.raises(NumericFailure, match=r"m0 <= 171"):
+        outage_rlpg(sc)
 
 
 def _partition_moment_sums(values, num_interferers, max_j):
