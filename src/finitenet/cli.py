@@ -29,6 +29,8 @@ from .rlpg import outage_rlpg, outage_rlpg_for_counts
 from .scenario import Scenario
 
 _MAXM_CAP = 100000
+# The most points a 'start:stop:count' grid may ask for.
+_GRID_CAP = 100000
 # Integer fields and M or L grid values stay within MAX_WHOLE; seeds may use
 # all of Monte Carlo's [0, 2^64).
 _SEED_MAX = 2 ** 64 - 1
@@ -72,11 +74,21 @@ class ScenarioConfig:
 
     @property
     def beta(self):
-        return 10.0 ** (self.beta_db / 10.0)
+        return _from_db(self.beta_db)
 
     @property
     def rho0(self):
-        return 10.0 ** (self.snr_db / 10.0)
+        return _from_db(self.snr_db)
+
+
+def _from_db(db):
+    """10^(db/10), or inf where that overflows (past about 3082.5 dB); the
+    Scenario refuses an infinite beta and takes an infinite rho0 as a
+    noiseless link."""
+    try:
+        return 10.0 ** (db / 10.0)
+    except OverflowError:
+        return math.inf
 
 
 def _check_keys(obj, allowed, where):
@@ -459,8 +471,9 @@ def parse_grid(text, variable):
             raise ScenarioParseError(f"malformed grid {text!r}")
         if not (math.isfinite(start) and math.isfinite(stop)):
             raise ScenarioParseError(f"grid bounds must be finite, got {text!r}")
-        if count < 1:
-            raise ScenarioParseError(f"grid count must be >= 1, got {count}")
+        if not 1 <= count <= _GRID_CAP:
+            raise ScenarioParseError(
+                f"grid count must be in [1, {_GRID_CAP}], got {count}")
         values = [start] if count == 1 else \
             [float(v) for v in np.linspace(start, stop, count)]
     else:

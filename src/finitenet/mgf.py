@@ -60,9 +60,7 @@ class EulerInversionParams:
     C: int = 14
 
     def __post_init__(self):
-        if not (np.isfinite(self.A) and self.A > 0):
-            raise InvalidParameterError(
-                f"discretization parameter must be positive, got {self.A}")
+        _check_discretization(self.A)
         for name in ("B", "C"):
             v = getattr(self, name)
             if not (_is_whole(v) and 1 <= v <= MAX_WHOLE):
@@ -75,13 +73,28 @@ class EulerInversionParams:
         if not digits > 0:
             raise InvalidParameterError(
                 f"accuracy digits must be positive, got {digits}")
-        return cls(A=digits * _LN10,
+        A = digits * _LN10
+        _check_discretization(A)   # before B and C, which it keeps finite
+        return cls(A=A,
                    B=max(1, math.ceil(1.243 * digits - 1.0)),
                    C=max(1, math.ceil(1.467 * digits)))
 
     @property
     def accuracy_digits(self):
         return self.A / _LN10
+
+
+def _check_discretization(A):
+    """Refuse an A that is not positive or whose Euler sum scale e^{A/2}
+    overflows (A past about 1419.6, 616.5 accuracy digits)."""
+    try:
+        ok = A > 0 and math.exp(0.5 * A) < math.inf
+    except OverflowError:
+        ok = False
+    if not ok:
+        raise InvalidParameterError(
+            f"discretization parameter must be positive with e^(A/2) "
+            f"finite, got {A}")
 
 
 def _bromwich_nodes(z, params):
@@ -212,6 +225,10 @@ def _kernel_key(scenario, inner_rel):
             scenario.alpha, inner_rel)
 
 
+class _Miss(Exception):
+    """A held-only lookup (see _array_memo) found no finished result."""
+
+
 def _array_memo(fn, dtype, sizes):
     """fn of one array, each result computed once per argument array (its
     shape and bytes as the given dtype) and stored read-only; each array
@@ -221,13 +238,23 @@ def _array_memo(fn, dtype, sizes):
     the others wait for that result, or its exception. A hit reads the
     stored result and builds nothing. An exception is not stored, so a
     later call computes the array again.
+
+    A held-only lookup, memoised(x, held_only=True), returns a result only
+    if it is already finished and raises _Miss otherwise: it never
+    computes, stores or waits, also not on an array another thread is
+    still computing. memoised.stored() counts the arrays stored or in
+    progress.
     """
     memo = {}
 
-    def memoised(x):
+    def memoised(x, held_only=False):
         x = np.ascontiguousarray(x, dtype=dtype)
         key = (x.shape, x.tobytes())
         done = memo.get(key)
+        if held_only:
+            if done is None or not done.done() or done.exception() is not None:
+                raise _Miss
+            return done.result()
         if done is None:
             mine = Future()
             done = memo.setdefault(key, mine)
@@ -242,6 +269,7 @@ def _array_memo(fn, dtype, sizes):
                     mine.set_exception(exc)
         return done.result()
 
+    memoised.stored = memo.__len__
     return memoised
 
 
@@ -296,13 +324,21 @@ def outage_mgf(scenario, params=None, rel_tol=QUADRATURE_REL_TOL):
     Each Bromwich node needs one outer integral over the reference gain
     (substituted onto (0,1)) whose integrand carries the M-th power of the
     radial kernel row, computed for all outer nodes of a panel batch at
-    once. The nodes run through scenario._run_calls at width
+    once. The rows come from the process's held kernel (_shared_kernel),
+    so calls that differ only in M, rho0, r0, beta, m0 or the inversion
+    skip the batches an earlier one computed, and no number changes.
+
+    The nodes are sampled in two passes. The first runs each node on the
+    calling thread with held-only row lookups (see _array_memo): a node
+    whose batches the kernel has all finished completes there, and one
+    that meets a batch it lacks is dropped at that batch. Such a node does
+    no new numerical work, so on a pool it would only contend for the GIL.
+    The dropped nodes then run through scenario._run_calls at width
     scenario._CPU_WORKERS, under the CPU bound the Monte Carlo chunks
-    share, and no width changes a number: each node's outer integral is
-    self-contained and the radial batches are memoised. The rows come from
-    the process's held kernel (_shared_kernel), so calls that differ only
-    in M, rho0, r0, beta, m0 or the inversion skip the batches an earlier
-    one computed, and no number changes.
+    share. A call with interferers on a kernel that holds no row batch
+    yet would drop every node, so it skips the first pass, for its retried
+    nodes too. No pass or width changes a number: each node's outer
+    integral is self-contained and the radial batches are memoised.
 
     abs_error is the inversion's aim 10^{-digits}, not a bound (see
     EulerInversionParams). An unsettled sum or a path loss r^alpha that
@@ -321,7 +357,7 @@ def outage_mgf(scenario, params=None, rel_tol=QUADRATURE_REL_TOL):
     lgamma_m0 = ln_gamma(m0)
     log_m0 = math.log(m0)
 
-    def transform(s):
+    def transform(s, rows):
 
         def grand(u):
             g0 = u / (1.0 - u)
@@ -330,7 +366,7 @@ def outage_mgf(scenario, params=None, rel_tol=QUADRATURE_REL_TOL):
             vals = np.exp(logw - s / (rho0 * g0))
             if num_interferers:
                 q = r0_alpha * s / g0
-                inner = kernel.rows(q)
+                inner = rows(q)
                 vals = vals * inner ** num_interferers
             return vals[None, :]
 
@@ -338,10 +374,25 @@ def outage_mgf(scenario, params=None, rel_tol=QUADRATURE_REL_TOL):
                                     rel_tol=rel_tol, abs_tol=1e-13)
         return val[0]
 
+    held_first = not num_interferers or kernel.rows.stored() > 0
+    held_rows = partial(kernel.rows, held_only=True)
+
     def sample(svals):
-        calls = [partial(transform, s) for s in svals]
-        return np.array(_scenario._run_calls(calls, _scenario._CPU_WORKERS),
-                        dtype=complex)
+        vals = np.empty(len(svals), dtype=complex)
+        missed = list(range(len(svals)))
+        if held_first:
+            missed = []
+            for i, s in enumerate(svals):
+                try:
+                    vals[i], = _scenario._run_calls(
+                        [partial(transform, s, held_rows)], 1)
+                except _Miss:
+                    missed.append(i)
+        if missed:
+            vals[missed] = _scenario._run_calls(
+                [partial(transform, svals[i], kernel.rows) for i in missed],
+                _scenario._CPU_WORKERS)
+        return vals
 
     cdf = _invert_cdf(sample, z, params)
     return OutageResult(outage=1.0 - cdf, method="mgf",

@@ -4,7 +4,7 @@ import math
 import os
 import sys
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,8 +32,9 @@ _CPU_SLOTS = threading.BoundedSemaphore(_CPU_WORKERS)
 def _run_calls(calls, width):
     """[call() for call in calls], in order: on the calling thread at width
     1, otherwise on a pool of min(width, len(calls)) threads, each call
-    holding one of the _CPU_SLOTS. A failure is re-raised in call order,
-    and the calls still queued behind it are cancelled."""
+    holding one of the _CPU_SLOTS. The first call to fail cancels every
+    call still queued, and the first failure in call order is re-raised
+    once the running calls have finished."""
     def bounded(call):
         with _CPU_SLOTS:
             return call()
@@ -42,7 +43,13 @@ def _run_calls(calls, width):
     if width <= 1:
         return [bounded(call) for call in calls]
     with ThreadPoolExecutor(max_workers=width) as pool:
-        return list(pool.map(bounded, calls))
+        futures = [pool.submit(bounded, call) for call in calls]
+        wait(futures, return_when=FIRST_EXCEPTION)
+        for future in futures:
+            future.cancel()
+    # the pool takes calls in order, so every call before a cancelled one
+    # has run, and a failure is reached before any cancelled call
+    return [future.result() for future in futures]
 
 
 # The largest interferer count: the engines carry M as a float.

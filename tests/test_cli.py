@@ -106,7 +106,7 @@ def test_regular_polygon_area_spec_builds_that_area():
     assert region.area == pytest.approx(math.pi * 1e4, rel=1e-12)
 
 
-def test_inversion_parsing():
+def test_inversion_parsing(tmp_path, capsys):
     cfg = parse_scenario_config(_base_raw(inversion={"zeta": 8}))
     assert cfg.inversion == EulerInversionParams.from_accuracy_digits(8)
     assert (cfg.inversion.B, cfg.inversion.C) == (9, 12)
@@ -115,6 +115,12 @@ def test_inversion_parsing():
     assert (cfg.inversion.A, cfg.inversion.B, cfg.inversion.C) == (18.4, 11, 14)
     with pytest.raises(ScenarioParseError, match="not both"):
         parse_scenario_config(_base_raw(inversion={"zeta": 8, "A": 1.0}))
+    # an accuracy whose Euler scale e^{A/2} overflows is refused up front
+    for inversion in ({"zeta": 700}, {"A": 1700, "B": 11, "C": 14}):
+        path = _write(tmp_path, _base_raw(inversion=inversion))
+        assert main(["run", "--scenario", path, "--method", "mgf",
+                     "--out", str(tmp_path / "o.csv")]) == 2
+        assert "e^(A/2)" in capsys.readouterr().err
 
 
 def test_quadrature_tolerance_defaults_to_the_mgf_constant():
@@ -583,11 +589,35 @@ def test_parse_grid_syntaxes():
     assert parse_grid("1,2,4", "M") == [1, 2, 4]
     assert parse_grid(" ", "d") == []
     assert parse_grid("3:3:1", "alpha") == [3.0]
-    for bad in ("1:2", "1:2:3:4", "a,b", "0:1:0", "one:two:3"):
+    for bad in ("1:2", "1:2:3:4", "a,b", "0:1:0", "one:two:3",
+                "0:1:1000000000000000"):
         with pytest.raises(ScenarioParseError):
             parse_grid(bad, "d")
     with pytest.raises(ScenarioParseError, match="integer"):
         parse_grid("1.5,2", "M")
+
+
+def test_huge_db_values_are_infinite_not_an_overflow(tmp_path, capsys):
+    # 10^(dB/10) overflows past about 3082.5 dB: an infinite beta is
+    # refused, and an infinite rho0 is the noiseless link
+    out = str(tmp_path / "o.csv")
+    noiseless = outage_rlpg(replace(build_scenario(
+        parse_scenario_config(_base_raw())), rho0=math.inf)).outage
+    assert main(["run", "--scenario", _write(tmp_path, _base_raw(
+        snr_db=4000.0)), "--out", out]) == 0
+    assert dict(zip(*_read_csv(out)))["outage"] == f"{noiseless:.12g}"
+    base = _write(tmp_path, _base_raw(), "base.json")
+    assert main(["sweep", "--scenario", base, "--out", out,
+                 "--variable", "snr_db", "--values", "4000"]) == 0
+    assert _read_csv(out)[1][2] == f"{noiseless:.12g}"
+    capsys.readouterr()
+    assert main(["run", "--scenario", _write(tmp_path, _base_raw(
+        beta_db=4000.0)), "--out", out]) == 2
+    assert "beta must be positive and finite, got inf" in \
+        capsys.readouterr().err
+    assert main(["sweep", "--scenario", base, "--out", out,
+                 "--variable", "beta_db", "--values", "4000"]) == 2
+    assert "got inf" in capsys.readouterr().err
 
 
 def test_integer_grids_refuse_non_finite_and_huge_values(tmp_path, capsys):

@@ -57,6 +57,14 @@ def test_parameter_validation():
         EulerInversionParams(C=2.5)
     with pytest.raises(InvalidParameterError):
         EulerInversionParams.from_accuracy_digits(0)
+    # the Euler sum's scale e^{A/2} overflows past A = 1419.6 (616.5 digits)
+    EulerInversionParams(A=1419.5)
+    for A in (1419.6, 1700.0, math.inf, math.nan):
+        with pytest.raises(InvalidParameterError, match="e\\^\\(A/2\\)"):
+            EulerInversionParams(A=A, B=11, C=14)
+    for digits in (700, 1.7e308):
+        with pytest.raises(InvalidParameterError, match="e\\^\\(A/2\\)"):
+            EulerInversionParams.from_accuracy_digits(digits)
 
 
 # ----- CDF inversion on known transforms -----
@@ -522,12 +530,31 @@ def _count_outer_integrals(monkeypatch):
 
 def test_node_pool_width_changes_no_bit(monkeypatch):
     outer = _count_outer_integrals(monkeypatch)
+    batches = []
+    rows = mgf._radial_mixture_rows
+
+    def counted_rows(*args):
+        batches.append(1)
+        return rows(*args)
+
+    monkeypatch.setattr(mgf, "_radial_mixture_rows", counted_rows)
+    widths = []
+    run_calls = scenario_module._run_calls
+
+    def spied(calls, width):
+        widths.append(width)
+        return run_calls(calls, width)
+
+    monkeypatch.setattr(scenario_module, "_run_calls", spied)
     # A = 4 ln10 with B = 2 and C = 3 does not settle on its 6 nodes, so the
     # retry samples the new nodes of the doubled (B, C) through the pool too
     retried = EulerInversionParams(A=4.0 * LN10, B=2, C=3)
     cases = [(sc, None) for sc in _pool_scenarios()]
     cases.append((_pool_scenarios()[1], retried))
     for sc, params in cases:
+        more = replace(sc, num_interferers=sc.num_interferers + 1)
+        mgf._held_kernel = None
+        fresh_more = outage_mgf(more, params=params, rel_tol=1e-6).outage
         got = {}
         for width in (1, 2, 4):
             monkeypatch.setattr(scenario_module, "_CPU_WORKERS", width)
@@ -536,7 +563,50 @@ def test_node_pool_width_changes_no_bit(monkeypatch):
             got[width] = outage_mgf(sc, params=params, rel_tol=1e-6).outage
             nodes = len(outer)
             assert nodes == (26 if params is None else 21), nodes
+            # on the now-held kernel a repeat runs every node on the
+            # calling thread, and another M serves the nodes it can there
+            batches.clear()
+            widths.clear()
+            repeat = outage_mgf(sc, params=params, rel_tol=1e-6).outage
+            assert repeat == got[width]
+            assert not batches and set(widths) == {1}, (batches, widths)
+            assert outage_mgf(more, params=params,
+                              rel_tol=1e-6).outage == fresh_more
         assert got[1] == got[2] == got[4], got
+
+
+def test_held_only_lookup_never_computes_stores_or_waits(monkeypatch):
+    started, release = threading.Event(), threading.Event()
+
+    def rows(profile, m, alpha, q, rel_tol):
+        if q[0] == 7.0:
+            started.set()
+            release.wait(timeout=60)
+        return 2.0 * q
+
+    monkeypatch.setattr(mgf, "_radial_mixture_rows", rows)
+    kernel = mgf._shared_kernel(_scenario(disk_region((0, 0), 100.0),
+                                          (50.0, 0.0), m0=1.0, m=1.0),
+                                mgf.QUADRATURE_REL_TOL)
+    held = np.arange(3, dtype=complex)
+    stored = kernel.rows(held)
+    sizes = list(kernel.sizes)
+    assert kernel.rows(held.copy(), held_only=True) is stored
+    with pytest.raises(mgf._Miss):
+        kernel.rows(held + 1.0, held_only=True)
+    assert kernel.sizes == sizes and kernel.rows.stored() == 1
+    # a batch another thread is still computing is a miss, not a wait
+    pending = np.full(3, 7.0, dtype=complex)
+    thread = threading.Thread(target=kernel.rows, args=(pending,))
+    thread.start()
+    try:
+        assert started.wait(timeout=60)
+        with pytest.raises(mgf._Miss):
+            kernel.rows(pending, held_only=True)
+    finally:
+        release.set()
+        thread.join()
+    assert np.array_equal(kernel.rows(pending, held_only=True), 2.0 * pending)
 
 
 def test_failure_in_a_pool_node_stops_the_pool(monkeypatch):
