@@ -537,34 +537,40 @@ def max_supported_interferers(cfg, sc, target, method):
     scenario sc built from cfg crosses the target, rounded to the nearest
     count. Returns (m_star, outage_at_m_star, feasible); an infeasible target
     (outage above it already with zero interferers) reports
-    (0, outage0, False)."""
+    (0, outage0, False).
+
+    The search steps one count at a time up to 64, then doubles the count
+    up to _MAXM_CAP, then bisects the last step down to adjacent counts.
+    Each count is evaluated at most once."""
     if not 0.0 < target < 1.0:
         raise ScenarioParseError(f"outage target must be in (0, 1), got {target}")
     if method == "rlpg":
-        hi = 64
-        eps = outage_rlpg_for_counts(sc, range(hi + 1))
-        while eps[0] <= target and eps[-1] <= target:
-            if hi >= _MAXM_CAP:
-                raise NumericFailure(
-                    f"count search exceeded {_MAXM_CAP} interferers")
-            hi = min(2 * hi, _MAXM_CAP)
-            eps = outage_rlpg_for_counts(sc, range(hi + 1))
+        def at(n):
+            return outage_rlpg_for_counts(sc, [n])[0]
     elif method == "mgf":
-        eps = []
-        while not eps or eps[-1] <= target:
-            if len(eps) > _MAXM_CAP:
-                raise NumericFailure(
-                    f"count search exceeded {_MAXM_CAP} interferers")
-            eps.append(evaluate_scenario(
-                cfg, replace(sc, num_interferers=len(eps)), "mgf")[0])
+        def at(n):
+            return evaluate_scenario(cfg, replace(sc, num_interferers=n),
+                                     "mgf")[0]
     else:
         raise ScenarioParseError(
             "the interferer-count search needs an analytic method (rlpg or mgf)")
-    if eps[0] > target:
-        return 0, eps[0], False
-    over = next(i for i, e in enumerate(eps) if e > target)
-    m_star, eps_star = _nearest_crossing(over - 1, eps[over - 1], eps[over],
-                                         target)
+    at = functools.cache(at)
+    if at(0) > target:
+        return 0, at(0), False
+    under, over = 0, 1
+    while at(over) <= target:
+        if over >= _MAXM_CAP:
+            raise NumericFailure(
+                f"count search exceeded {_MAXM_CAP} interferers")
+        under = over
+        over = min(over + 1 if over < 64 else 2 * over, _MAXM_CAP)
+    while over - under > 1:
+        mid = (under + over) // 2
+        if at(mid) <= target:
+            under = mid
+        else:
+            over = mid
+    m_star, eps_star = _nearest_crossing(under, at(under), at(over), target)
     return m_star, eps_star, True
 
 

@@ -47,7 +47,8 @@ from .errors import InvalidParameterError
 
 CHUNK_TRIALS = 1 << 17
 # a chunk draws its interferers in blocks of max(1, BLOCK_DRAWS // M)
-# trials, so its arrays stay near this many draws whatever n and M
+# trials, so its arrays stay near this many draws whatever n while
+# M <= BLOCK_DRAWS, and hold M draws each past that
 BLOCK_DRAWS = 1 << 15
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ elsewhere.
 """
 
 import cmath
+import functools
 import math
 import warnings
 
@@ -124,10 +125,15 @@ def _moment_values(profile, scenario, rate, count):
     return tuple(float(v) for v in vals)
 
 
+@functools.lru_cache(maxsize=1)
 def omega_expectation_table(scenario):
     """Moments E{Omega_t}, t < m0, of an integer-shape scenario: computed
     once and reused across every term of the outage assembly. Each entry is
-    positive and finite and the first never exceeds 1."""
+    positive and finite and the first never exceeds 1.
+
+    The last scenario's table is kept, so the calls of one count search
+    build it once. A Scenario is frozen and hashes by identity, and the
+    table depends on nothing else."""
     m0 = integer_shape(scenario.channel.m0)
     if m0 is None:
         raise UnsupportedModelError(

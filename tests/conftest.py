@@ -1,9 +1,9 @@
 """Shared test fixtures.
 
-Each test starts with no radial kernel held by the transform engine, so
-rows a test fakes (or counts) never reach the next one, and fails if it
-leaves more threads running than it found, as a pool that is not shut
-down would.
+Each test starts with no radial kernel held by the transform engine and
+no moment table kept by the series engine, so rows a test fakes (or
+counts) never reach the next one, and fails if it leaves more threads
+running than it found, as a pool that is not shut down would.
 """
 
 import threading
@@ -11,11 +11,13 @@ import threading
 import pytest
 
 import finitenet.mgf as mgf
+import finitenet.rlpg as rlpg
 
 
 @pytest.fixture(autouse=True)
 def _no_held_kernel():
     mgf._held_kernel = None
+    rlpg.omega_expectation_table.cache_clear()
 
 
 @pytest.fixture(autouse=True)

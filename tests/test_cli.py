@@ -12,16 +12,21 @@ import pytest
 import finitenet.cli as cli
 import finitenet.mgf as mgf
 import finitenet.montecarlo as montecarlo
+import finitenet.rlpg as rlpg
 import finitenet.scenario as scenario_module
-from finitenet import (EulerInversionParams, NumericFailure,
-                       ScenarioParseError, make_fig2_region, outage_mgf,
-                       outage_rlpg, simulate_outage)
+from finitenet import (EulerInversionParams, NakagamiChannel, NumericFailure,
+                       OutageResult, Scenario, ScenarioParseError,
+                       make_fig2_region, outage_mgf, outage_rlpg,
+                       outage_rlpg_for_counts, simulate_outage)
 from finitenet.cli import (MAXM_HEADER, RUN_HEADER, apply_sweep_value,
                            build_region, build_scenario, evaluate_scenario,
                            load_scenario_config, main,
                            max_supported_interferers, parse_grid,
                            parse_scenario_config, resolve_method,
                            resolve_receiver, scenario_fingerprint)
+
+from seeded_cases import check_cases
+from test_geometry_properties import disk_and_receiver, polygon_and_receiver
 
 
 def _base_raw(**overrides):
@@ -780,17 +785,21 @@ def test_maxm_target_validation(tmp_path, capsys):
     capsys.readouterr()
 
 
+def _large_disk_raw():
+    # about 16k interferers on a disk of radius 3000
+    return _base_raw(region={"type": "disk", "params": {"radius": 3000.0}},
+                     m0=2)
+
+
 def test_rlpg_maxm_on_a_large_disk(tmp_path):
-    # about 16k interferers on a disk of radius 3000: the count scan runs
-    # over tens of thousands of counts
-    raw = _base_raw(region={"type": "disk", "params": {"radius": 3000.0}},
-                    m0=2)
+    # the search steps to 64, doubles to 16384 and bisects down to the
+    # adjacent counts 15886 and 15887
+    raw = _large_disk_raw()
     out = tmp_path / "maxm.csv"
     assert main(["maxm", "--scenario", _write(tmp_path, raw), "--out",
                  str(out), "--target", "0.05", "--method", "rlpg"]) == 0
     cfg = parse_scenario_config(raw)
     sc = build_scenario(cfg)
-    from finitenet import outage_rlpg_for_counts
     under, over = outage_rlpg_for_counts(sc, [15886, 15887])
     assert under <= 0.05 < over
     m_star, eps_star = cli._nearest_crossing(15886, under, over, 0.05)
@@ -803,7 +812,7 @@ def test_rlpg_maxm_on_a_large_disk(tmp_path):
 
 def test_rlpg_maxm_stops_at_the_count_cap(tmp_path, capsys, monkeypatch):
     # with the cap at 100 the crossing of this scenario, near 115, lies past
-    # it: the doubling scan must stop at the cap rather than report it
+    # it: the search must stop at the cap rather than report it
     monkeypatch.setattr(cli, "_MAXM_CAP", 100)
     raw = _base_raw(region={"type": "disk", "params": {"radius": 330.0}})
     rc = main(["maxm", "--scenario", _write(tmp_path, raw), "--out",
@@ -813,13 +822,145 @@ def test_rlpg_maxm_stops_at_the_count_cap(tmp_path, capsys, monkeypatch):
     assert "exceeded 100 interferers" in capsys.readouterr().err
 
 
+def test_rlpg_maxm_builds_one_moment_table_per_search(monkeypatch):
+    # stated as counts, not time: one moment integral pass for the whole
+    # search, and one assembled outage per probed count, which is at most
+    # 64 single steps, one doubling per power of two to the cap, as many
+    # bisection halvings and the two counts either side of the crossing
+    cfg = parse_scenario_config(_large_disk_raw())
+    sc = build_scenario(cfg)
+    passes, assembled = [], []
+    omega, series = rlpg._omega_values, rlpg._series_outages
+
+    def counted_omega(*args):
+        passes.append(args)
+        return omega(*args)
+
+    def counted_series(scenario, groups, counts):
+        assembled.extend(counts)
+        return series(scenario, groups, counts)
+
+    monkeypatch.setattr(rlpg, "_omega_values", counted_omega)
+    monkeypatch.setattr(rlpg, "_series_outages", counted_series)
+    assert max_supported_interferers(cfg, sc, 0.05, "rlpg")[:1] == (15887,)
+    assert len(passes) == 1
+    doublings = math.ceil(math.log2(cli._MAXM_CAP))
+    assert len(assembled) <= 64 + 2 * doublings + 2
+    assert len(set(assembled)) == len(assembled)
+
+
+def _full_scan(sc, target):
+    """The rlpg count scan the search replaced: every count 0..hi, hi
+    doubling from 64 up to the cap, and the first count above the target
+    taken as the crossing."""
+    hi = 64
+    eps = outage_rlpg_for_counts(sc, range(hi + 1))
+    while eps[0] <= target and eps[-1] <= target:
+        if hi >= cli._MAXM_CAP:
+            raise NumericFailure(
+                f"count search exceeded {cli._MAXM_CAP} interferers")
+        hi = min(2 * hi, cli._MAXM_CAP)
+        eps = outage_rlpg_for_counts(sc, range(hi + 1))
+    if eps[0] > target:
+        return 0, eps[0], False
+    over = next(i for i, e in enumerate(eps) if e > target)
+    m_star, eps_star = cli._nearest_crossing(over - 1, eps[over - 1],
+                                             eps[over], target)
+    return m_star, eps_star, True
+
+
+def _searched(search, *args):
+    """(M*, outage bits, feasible), or the message of the refusal."""
+    try:
+        m_star, eps_star, feasible = search(*args)
+    except NumericFailure as exc:
+        return str(exc)
+    return m_star, eps_star.hex(), feasible
+
+
+def count_search_cases(draw):
+    """A random region and receiver (polygon interior, edge or vertex, or a
+    disk) with a short reference link and m0 in 1-8, so that crossings
+    from 0 to a few thousand interferers come up, and an outage target
+    drawn uniform in its logarithm."""
+    kind = draw.sampled_from(("interior", "edge", "vertex", "disk"))
+    reg, y0 = (disk_and_receiver(draw) if kind == "disk"
+               else polygon_and_receiver(draw, kind))
+    sc = Scenario(
+        region=reg, receiver=y0, r0=draw.log_floats(0.002, 0.2) * reg.scale,
+        num_interferers=0,
+        channel=NakagamiChannel(m0=round(draw.log_floats(1.0, 8.0)),
+                                m=draw.floats(0.5, 3.0)),
+        alpha=draw.floats(2.0, 6.0), beta=10.0 ** draw.floats(-1.0, 1.0),
+        rho0=10.0 ** draw.floats(0.0, 3.0))
+    return sc, draw.log_floats(1e-4, 0.5)
+
+
+def test_count_search_matches_the_full_scan(monkeypatch):
+    # bit for bit, or both refuse alike. A crossing in 67..999 is searched
+    # again with the cap just below it, which both must refuse: the cap
+    # stays above the full scan's first block 0..64, and the scan short
+    seen = {"infeasible": 0, "past_64": 0, "capped": 0}
+
+    def check(sc, target):
+        want = _searched(_full_scan, sc, target)
+        assert _searched(max_supported_interferers, None, sc, target,
+                         "rlpg") == want
+        if isinstance(want, str):
+            return
+        m_star, _, feasible = want
+        seen["infeasible"] += not feasible
+        seen["past_64"] += m_star > 64
+        if 66 < m_star < 1000:
+            with monkeypatch.context() as patch:
+                patch.setattr(cli, "_MAXM_CAP", m_star - 1)
+                refusal = f"count search exceeded {m_star - 1} interferers"
+                assert _searched(_full_scan, sc, target) == refusal
+                assert _searched(max_supported_interferers, None, sc,
+                                 target, "rlpg") == refusal
+            seen["capped"] += 1
+
+    check_cases(check, count_search_cases, 40, seed=11)
+    assert seen["infeasible"] >= 1 and seen["past_64"] >= 2, seen
+    assert seen["capped"] >= 1, seen
+
+
+def test_mgf_count_search_order(monkeypatch):
+    # with the engine replaced by the increasing curve n / (n + 4000): the
+    # counts one at a time to the crossing while it lies below 64, else
+    # to 64, then doublings and bisection, each count evaluated once; the
+    # answer is the full scan's
+    def curve(n):
+        return n / (n + 4000.0)
+
+    calls = []
+
+    def fake_outage_mgf(sc, **kwargs):
+        calls.append(sc.num_interferers)
+        return OutageResult(outage=curve(sc.num_interferers), method="mgf")
+
+    monkeypatch.setattr(cli, "outage_mgf", fake_outage_mgf)
+    cfg = parse_scenario_config(_base_raw(m0=1.5))
+    sc = build_scenario(cfg)
+    for target, over, order in (
+            (0.001, 5, list(range(6))),
+            (0.05, 211, list(range(65)) + [128, 256, 192, 224, 208, 216,
+                                           212, 210, 211])):
+        calls.clear()
+        assert curve(over - 1) <= target < curve(over)
+        want = cli._nearest_crossing(over - 1, curve(over - 1), curve(over),
+                                     target)
+        assert max_supported_interferers(cfg, sc, target, "mgf") == \
+            (*want, True)
+        assert calls == order
+
+
 def test_maxm_nearest_crossing_prefers_closer_count():
     cfg = parse_scenario_config(_base_raw(alpha=6.0))
     sc = build_scenario(cfg)
     m_star, eps_star, feasible = max_supported_interferers(cfg, sc, 0.05,
                                                            "rlpg")
     assert feasible
-    from finitenet import outage_rlpg_for_counts
     eps = outage_rlpg_for_counts(sc, range(m_star + 2))
     below = eps[m_star] if eps[m_star] <= 0.05 else eps[m_star - 1]
     above = eps[m_star + 1] if eps[m_star] <= 0.05 else eps[m_star]
