@@ -18,7 +18,7 @@ import numpy as np
 from . import scenario as _scenario
 from .channel import MAX_WHOLE, _is_whole
 from .errors import InvalidParameterError, NumericFailure
-from .quadrature import adaptive_rows_quad
+from .quadrature import _grouped_rows_quad, adaptive_rows_quad
 from .scenario import OutageResult
 from .specfun import ln_gamma
 
@@ -217,11 +217,7 @@ def _inner_rel_tol(rel_tol):
 
 
 def _kernel_key(scenario, inner_rel):
-    reg = scenario.region
-    geometry = (reg.kind, reg.radius,
-                None if reg.center is None else reg.center.tobytes(),
-                None if reg.vertices is None else reg.vertices.tobytes())
-    return (geometry, scenario.receiver.tobytes(), scenario.channel.m,
+    return (_scenario._profile_key(scenario), scenario.channel.m,
             scenario.alpha, inner_rel)
 
 
@@ -235,9 +231,10 @@ def _array_memo(fn, dtype, sizes):
     stored appends its bytes and its result's (as large) to the list sizes.
 
     Threads share the table: the first to miss on an array computes it and
-    the others wait for that result, or its exception. A hit reads the
-    stored result and builds nothing. An exception is not stored, so a
-    later call computes the array again.
+    the others wait for that result, or its exception. A finished result
+    sits in a plain dict beside the futures, so a hit is one dict lookup
+    that builds nothing and takes no lock. An exception is not stored, so
+    a later call computes the array again.
 
     A held-only lookup, memoised(x, held_only=True), returns a result only
     if it is already finished and raises _Miss otherwise: it never
@@ -246,15 +243,17 @@ def _array_memo(fn, dtype, sizes):
     progress.
     """
     memo = {}
+    finished = {}
 
     def memoised(x, held_only=False):
         x = np.ascontiguousarray(x, dtype=dtype)
         key = (x.shape, x.tobytes())
-        done = memo.get(key)
+        vals = finished.get(key)
+        if vals is not None:
+            return vals
         if held_only:
-            if done is None or not done.done() or done.exception() is not None:
-                raise _Miss
-            return done.result()
+            raise _Miss
+        done = memo.get(key)
         if done is None:
             mine = Future()
             done = memo.setdefault(key, mine)
@@ -263,6 +262,7 @@ def _array_memo(fn, dtype, sizes):
                     vals = np.asarray(fn(x))
                     vals.setflags(write=False)
                     sizes.append(2 * x.nbytes)
+                    finished[key] = vals
                     mine.set_result(vals)
                 except BaseException as exc:
                     del memo[key]
@@ -328,17 +328,21 @@ def outage_mgf(scenario, params=None, rel_tol=QUADRATURE_REL_TOL):
     so calls that differ only in M, rho0, r0, beta, m0 or the inversion
     skip the batches an earlier one computed, and no number changes.
 
-    The nodes are sampled in two passes. The first runs each node on the
-    calling thread with held-only row lookups (see _array_memo): a node
-    whose batches the kernel has all finished completes there, and one
-    that meets a batch it lacks is dropped at that batch. Such a node does
-    no new numerical work, so on a pool it would only contend for the GIL.
-    The dropped nodes then run through scenario._run_calls at width
-    scenario._CPU_WORKERS, under the CPU bound the Monte Carlo chunks
-    share. A call with interferers on a kernel that holds no row batch
-    yet would drop every node, so it skips the first pass, for its retried
-    nodes too. No pass or width changes a number: each node's outer
-    integral is self-contained and the radial batches are memoised.
+    The nodes are sampled in two passes. The first, on the calling thread,
+    integrates every node's outer integral in lockstep
+    (quadrature._grouped_rows_quad): each refinement round evaluates the
+    new panels of all live nodes in one vectorised integrand call, and each
+    node looks up its own q batch with a held-only lookup (see
+    _array_memo). A node whose batches the kernel has all finished
+    completes there, and one that meets a batch it lacks leaves the
+    lockstep at that round. Such a pass does no new numerical work, so on
+    a pool it would only contend for the GIL. The dropped nodes then run
+    one by one through scenario._run_calls at width scenario._CPU_WORKERS,
+    under the CPU bound the Monte Carlo chunks share. A call with
+    interferers on a kernel that holds no row batch yet would drop every
+    node, so it skips the first pass, for its retried nodes too. No pass or
+    width changes a number: each node's outer integral keeps its own
+    panels and sums, and the radial batches are memoised.
 
     abs_error is the inversion's aim 10^{-digits}, not a bound (see
     EulerInversionParams). An unsettled sum or a path loss r^alpha that
@@ -357,40 +361,57 @@ def outage_mgf(scenario, params=None, rel_tol=QUADRATURE_REL_TOL):
     lgamma_m0 = ln_gamma(m0)
     log_m0 = math.log(m0)
 
-    def transform(s, rows):
+    def grand(u, s, rows):
+        # s one node's, or each abscissa's; rows maps q to kernel rows
+        g0 = u / (1.0 - u)
+        logw = ((m0 - 1.0) * np.log(g0) + m0 * log_m0 - m0 * g0
+                - lgamma_m0 - 2.0 * np.log1p(-u))
+        vals = np.exp(logw - s / (rho0 * g0))
+        if num_interferers:
+            vals = vals * rows(r0_alpha * s / g0) ** num_interferers
+        return vals
 
-        def grand(u):
-            g0 = u / (1.0 - u)
-            logw = ((m0 - 1.0) * np.log(g0) + m0 * log_m0 - m0 * g0
-                    - lgamma_m0 - 2.0 * np.log1p(-u))
-            vals = np.exp(logw - s / (rho0 * g0))
-            if num_interferers:
-                q = r0_alpha * s / g0
-                inner = rows(q)
-                vals = vals * inner ** num_interferers
-            return vals[None, :]
+    quad = dict(breakpoints=u_breaks, rel_tol=rel_tol, abs_tol=1e-13)
 
-        val, _ = adaptive_rows_quad(grand, 0.0, 1.0, breakpoints=u_breaks,
-                                    rel_tol=rel_tol, abs_tol=1e-13)
+    def transform(s):
+        val, _ = adaptive_rows_quad(partial(grand, s=s, rows=kernel.rows),
+                                    0.0, 1.0, **quad)
         return val[0]
 
+    def held_transforms(svals):
+        """The outer integrals of every node in lockstep, from held rows
+        only; a node whose batch the kernel lacks is lost at that batch."""
+
+        def grand_all(u, owner):
+            lost = []
+
+            def held_rows(q):
+                inner = np.ones_like(q)
+                cuts = np.flatnonzero(owner[1:] != owner[:-1]) + 1
+                for i, j in zip([0, *cuts.tolist()], [*cuts.tolist(), q.size]):
+                    try:
+                        inner[i:j] = kernel.rows(q[i:j], held_only=True)
+                    except _Miss:
+                        lost.append(owner[i])
+                return inner
+
+            return grand(u, svals[owner], held_rows), lost
+
+        vals, _, lost = _grouped_rows_quad(grand_all, 0.0, 1.0, svals.size,
+                                           **quad)
+        return vals[:, 0], np.flatnonzero(lost)
+
     held_first = not num_interferers or kernel.rows.stored() > 0
-    held_rows = partial(kernel.rows, held_only=True)
 
     def sample(svals):
-        vals = np.empty(len(svals), dtype=complex)
-        missed = list(range(len(svals)))
+        missed = np.arange(svals.size)
+        vals = np.empty(svals.size, dtype=complex)
         if held_first:
-            missed = []
-            for i, s in enumerate(svals):
-                try:
-                    vals[i], = _scenario._run_calls(
-                        [partial(transform, s, held_rows)], 1)
-                except _Miss:
-                    missed.append(i)
-        if missed:
+            (vals, missed), = _scenario._run_calls(
+                [partial(held_transforms, svals)], 1)
+        if missed.size:
             vals[missed] = _scenario._run_calls(
-                [partial(transform, svals[i], kernel.rows) for i in missed],
+                [partial(transform, svals[i]) for i in missed],
                 _scenario._CPU_WORKERS)
         return vals
 

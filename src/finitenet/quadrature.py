@@ -6,6 +6,9 @@ is global: an interval is split while any row's accumulated error estimate
 sits above that row's tolerance. This is what keeps the outage integrals fast:
 one call integrates the inner distance expectation for hundreds of outer
 quadrature nodes at once instead of running scalar quadpack in a loop.
+_grouped_rows_quad runs several such integrals in lockstep, each with its
+own panels, through one integrand call per round; adaptive_rows_quad is
+its one-integral case.
 """
 
 import numpy as np
@@ -47,23 +50,27 @@ _WG = np.zeros(15)
 _WG[1:-1:2] = np.concatenate([_WG_HALF[:-1], _WG_HALF[::-1]])
 
 _SPLIT_FRACTION = 0.25   # split every panel whose score is within 4x of the worst
+_ONE_RUN = np.zeros(1, dtype=np.intp)   # where a lone integral's panels start
 
 
-def _eval_panels(f, lo, hi):
-    """Gauss-Kronrod 15 on a batch of panels.
+def _eval_panels(f, lo, hi, owner):
+    """Gauss-Kronrod 15 on a batch of panels, owner[j] the integral of the
+    j-th abscissa (see _grouped_rows_quad).
 
-    Returns (integrals, error_estimates), both shaped (rows, panels).
+    Returns (integrals, error_estimates, lost): the first two shaped
+    (rows, panels), lost as f returns it.
     """
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     x = (mid[:, None] + half[:, None] * _XGK[None, :]).ravel()
-    y = np.asarray(f(x))
+    y, lost = f(x, owner)
+    y = np.asarray(y)
     if y.ndim == 1:
         y = y[None, :]
     y = y.reshape(y.shape[0], lo.size, 15)
     k = (y * _WGK).sum(axis=2) * half
     g = (y * _WG).sum(axis=2) * half
-    return k, np.abs(k - g)
+    return k, np.abs(k - g), lost
 
 
 def adaptive_rows_quad(f, a, b, *, breakpoints=(), rel_tol=1e-10, abs_tol=0.0,
@@ -79,39 +86,147 @@ def adaptive_rows_quad(f, a, b, *, breakpoints=(), rel_tol=1e-10, abs_tol=0.0,
     Returns (integrals, error_estimates) with shape (rows,).
     Raises NumericFailure if the panel budget is exhausted first.
     """
+    vals, errs, _ = _grouped_rows_quad(
+        lambda x, owner: (f(x), ()), a, b, 1, breakpoints=breakpoints,
+        rel_tol=rel_tol, abs_tol=abs_tol, max_panels=max_panels)
+    return vals[0], errs[0]
+
+
+def _grouped_rows_quad(f, a, b, groups, *, breakpoints=(), rel_tol=1e-10,
+                       abs_tol=0.0, max_panels=4096):
+    """Integrate ``groups`` independent row families over [a, b] in
+    lockstep, each one as adaptive_rows_quad integrates it alone.
+
+    Every integral starts from the same panels and keeps its own, with its
+    own tolerance test, split rule and panel budget. Each refinement round
+    evaluates the new panels of all live integrals through one call
+    f(x, owner). x holds each integral's new abscissae in one contiguous
+    run, in the order a call with that integral alone passes them, the
+    integrals in ascending order; owner[j] is the integral of x[j]. f
+    returns (y, lost): y as adaptive_rows_quad's f returns it, for all of
+    x, and lost the integrals whose values f could not form. Those leave
+    the lockstep there, and their columns of y are not read. Each integral
+    sums only its own panels, so it gets the bits of a call with it alone.
+
+    Returns (integrals, error_estimates, lost): the first two shaped
+    (groups, rows), nan in the rows of a lost integral, and lost a boolean
+    array over the integrals. An integral that exhausts the panel budget,
+    or whose panels can no longer be split, fails with NumericFailure. The
+    lowest-numbered integral's failure is raised, once every integral
+    below it has finished or been lost.
+    """
     a = float(a)
     b = float(b)
     if not b > a:
         raise NumericFailure(f"empty integration range [{a}, {b}]")
     pts = np.unique(np.concatenate([[a, b], np.asarray(breakpoints, dtype=float)]))
     pts = pts[(pts >= a) & (pts <= b)]
-    lo = pts[:-1].copy()
-    hi = pts[1:].copy()
-    vals, errs = _eval_panels(f, lo, hi)
     min_width = 1e-15 * (b - a)
+    # The live integrals in ascending order and their panel counts. Each
+    # one's panels are contiguous in lo, hi, vals and errs: the panels it
+    # kept, then the left halves, then the right halves of those it split.
+    live = np.arange(groups)
+    count = np.array([pts.size - 1] * groups)
+    lo = np.concatenate([pts[:-1]] * groups)
+    hi = np.concatenate([pts[1:]] * groups)
+    vals, errs, lost = _eval_panels(f, lo, hi, live.repeat(15 * count))
+    integrals = np.empty((groups, vals.shape[0]), dtype=vals.dtype)
+    errors = np.empty((groups, vals.shape[0]))
+    dropped = np.zeros(groups, dtype=bool)
+    failure = None
     while True:
-        total = vals.sum(axis=1)
-        total_err = errs.sum(axis=1)
+        if len(lost):
+            dropped[lost] = True
+            integrals[lost] = errors[lost] = np.nan
+            stay = ~dropped[live]
+            panels = np.repeat(stay, count)
+            live, count = live[stay], count[stay]
+            lo, hi = lo[panels], hi[panels]
+            vals = vals.compress(panels, axis=1)   # C order, as the sums need
+            errs = errs.compress(panels, axis=1)
+            if not live.size:
+                break
+        # an array a with one entry or row per live integral reaches each
+        # panel as a[at]; a lone integral's broadcasts as it is
+        several = live.size > 1
+        if several:
+            at = np.repeat(np.arange(live.size), count)
+            starts = np.cumsum(count) - count
+            runs = list(zip(starts.tolist(), (starts + count).tolist()))
+            total = np.stack([vals[:, i:j].sum(axis=1) for i, j in runs])
+            total_err = np.stack([errs[:, i:j].sum(axis=1) for i, j in runs])
+        else:
+            at, starts = slice(None), _ONE_RUN
+            total = vals.sum(axis=1)[None, :]
+            total_err = errs.sum(axis=1)[None, :]
         tol = np.maximum(abs_tol, rel_tol * np.abs(total))
         bad = total_err > tol
-        if not bad.any():
-            return total, total_err
-        if lo.size >= max_panels:
-            worst = float((total_err / np.maximum(tol, 1e-300)).max())
-            raise NumericFailure(
-                f"quadrature did not converge within {max_panels} panels "
-                f"(worst error {worst:.3g}x tolerance)")
-        score = (errs[bad] / np.maximum(tol[bad, None], 1e-300)).max(axis=0)
-        split = score >= _SPLIT_FRACTION * score.max()
+        refine = bad.any(axis=1)
+        refining = np.count_nonzero(refine)
+        if refining < live.size:
+            integrals[live[~refine]] = total[~refine]
+            errors[live[~refine]] = total_err[~refine]
+            if not refining:
+                break
+        # a panel's score: its worst error relative to the tolerance, over
+        # the rows its integral has not met; split those within
+        # _SPLIT_FRACTION of their integral's worst
+        score = errs / np.maximum(tol, 1e-300)[at].T
+        np.copyto(score, 0.0, where=~bad[at].T)
+        score = score.max(axis=0)
+        split = score >= (_SPLIT_FRACTION
+                          * np.maximum.reduceat(score, starts)[at])
         split &= (hi - lo) > min_width
-        if not split.any():
-            raise NumericFailure("quadrature stalled: panel width underflow")
+        added = np.add.reduceat(split, starts, dtype=np.intp)
+        # an integral fails at the panel budget, or when it splits no
+        # panel; the first test passes over most rounds at once
+        if lo.size >= max_panels or np.count_nonzero(added) < live.size:
+            over = count >= max_panels
+            fail = refine & (over | (added == 0))
+            if fail.any():
+                first = fail.argmax()
+                if over[first]:
+                    worst = float((total_err[first]
+                                   / np.maximum(tol[first], 1e-300)).max())
+                    failure = NumericFailure(
+                        f"quadrature did not converge within {max_panels} "
+                        f"panels (worst error {worst:.3g}x tolerance)")
+                else:
+                    failure = NumericFailure(
+                        "quadrature stalled: panel width underflow")
+                refine[first:] = False   # only a lower one can fail first
+                if not refine.any():
+                    break
+        if several:
+            panels = refine[at]
+            split &= panels
+            keep = panels & ~split
+            key = at[split]
+            live, count, added = live[refine], count[refine], added[refine]
+        else:
+            keep = ~split
+        count = count + added
         slo, shi = lo[split], hi[split]
         smid = 0.5 * (slo + shi)
-        new_vals, new_errs = _eval_panels(
-            f, np.concatenate([slo, smid]), np.concatenate([smid, shi]))
-        lo = np.concatenate([lo[~split], slo, smid])
-        hi = np.concatenate([hi[~split], smid, shi])
-        vals = np.concatenate([vals[:, ~split], new_vals], axis=1)
-        errs = np.concatenate([errs[:, ~split], new_errs], axis=1)
-
+        new_lo = np.concatenate([slo, smid])
+        new_hi = np.concatenate([smid, shi])
+        if live.size > 1:
+            # into each integral's left halves, then its right halves
+            key = np.concatenate([key, key])
+            order = np.argsort(key, kind="stable")
+            new_lo, new_hi = new_lo[order], new_hi[order]
+            order = np.argsort(np.concatenate([at[keep], key[order]]),
+                               kind="stable")
+        lo = np.concatenate([lo[keep], new_lo])
+        hi = np.concatenate([hi[keep], new_hi])
+        new_vals, new_errs, lost = _eval_panels(
+            f, new_lo, new_hi, live.repeat(30 * added))
+        vals = np.concatenate([vals[:, keep], new_vals], axis=1)
+        errs = np.concatenate([errs[:, keep], new_errs], axis=1)
+        if live.size > 1:
+            lo, hi = lo[order], hi[order]
+            vals = vals.take(order, axis=1)   # C order, as the sums need
+            errs = errs.take(order, axis=1)
+    if failure is not None:
+        raise failure
+    return integrals, errors, dropped

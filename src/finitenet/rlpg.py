@@ -10,7 +10,6 @@ elsewhere.
 """
 
 import cmath
-import functools
 import math
 import warnings
 
@@ -20,7 +19,8 @@ from .channel import NakagamiChannel, integer_shape, nakagami_terms
 from .errors import NumericFailure, UnsupportedModelError
 from .geometry import disk_region
 from .quadrature import adaptive_rows_quad
-from .scenario import OutageResult, Scenario, _interferer_count
+from .scenario import (OutageResult, Scenario, _interferer_count,
+                       _profile_key)
 from .specfun import gauss_2f1, ln_gamma
 # no product path enumerates partitions: the benchmark's tracer wraps this
 # name as its specfun.partitions hook
@@ -125,21 +125,33 @@ def _moment_values(profile, scenario, rate, count):
     return tuple(float(v) for v in vals)
 
 
-@functools.lru_cache(maxsize=1)
+# The key and the table of the last omega_expectation_table call.
+_held_table = None
+
+
 def omega_expectation_table(scenario):
     """Moments E{Omega_t}, t < m0, of an integer-shape scenario: computed
     once and reused across every term of the outage assembly. Each entry is
     positive and finite and the first never exceeds 1.
 
-    The last scenario's table is kept, so the calls of one count search
-    build it once. A Scenario is frozen and hashes by identity, and the
-    table depends on nothing else."""
+    The last table is kept with its key: the region's geometry, the
+    receiver, m, alpha, r0, beta and m0, the only fields it depends on. So
+    the calls of one count search, and the points of a sweep over the SNR
+    or the interferer count, build it once. Threads that race on the slot
+    may each build their own key's table; none gets another key's."""
+    global _held_table
     m0 = integer_shape(scenario.channel.m0)
     if m0 is None:
         raise UnsupportedModelError(
             f"reference fading shape {scenario.channel.m0} is not a positive "
             "integer; use outage_mgf for real-valued shapes")
-    return _moment_values(scenario.profile(), scenario, m0, m0)
+    key = (_profile_key(scenario), scenario.channel.m, scenario.alpha,
+           scenario.r0, scenario.beta, m0)
+    held = _held_table
+    if held is None or held[0] != key:
+        held = _held_table = (
+            key, _moment_values(scenario.profile(), scenario, m0, m0))
+    return held[1]
 
 
 def _truncated_product(a, b):

@@ -138,6 +138,17 @@ class Scenario:
                     "not a positive normal float")
 
 
+def _profile_key(scenario):
+    """What the scenario's distance profile depends on, the region's
+    geometry and the receiver, as a hashable key: the part of a cached
+    table's key the engines share."""
+    reg = scenario.region
+    geometry = (reg.kind, reg.radius,
+                None if reg.center is None else reg.center.tobytes(),
+                None if reg.vertices is None else reg.vertices.tobytes())
+    return geometry, scenario.receiver.tobytes()
+
+
 @dataclass(frozen=True)
 class OutageResult:
     """Outage probability of an analytic engine, with its provenance.

@@ -17,7 +17,7 @@ import finitenet.rlpg as rlpg
 @pytest.fixture(autouse=True)
 def _no_held_kernel():
     mgf._held_kernel = None
-    rlpg.omega_expectation_table.cache_clear()
+    rlpg._held_table = None
 
 
 @pytest.fixture(autouse=True)

@@ -849,6 +849,31 @@ def test_rlpg_maxm_builds_one_moment_table_per_search(monkeypatch):
     assert len(set(assembled)) == len(assembled)
 
 
+def test_rlpg_snr_and_count_sweeps_share_one_moment_table(monkeypatch):
+    # the table keys on the fields it depends on, which rho0 and M are not
+    cfg = parse_scenario_config(_base_raw(m0=2, m=1.5, receiver={
+        "mode": "disk_offset_d", "d": 40.0}))
+    passes = []
+    omega = rlpg._omega_values
+
+    def counted_omega(*args):
+        passes.append(args)
+        return omega(*args)
+
+    monkeypatch.setattr(rlpg, "_omega_values", counted_omega)
+    grids = {"snr_db": np.linspace(-10.0, 40.0, 200).tolist(),
+             "M": list(range(0, 120, 3))}
+    for variable, values in grids.items():
+        rlpg._held_table = None
+        passes.clear()
+        rows = cli.sweep_rows(cfg, variable, values, ["rlpg"])
+        assert len(passes) == 1, variable
+        for row, value in zip(rows, values):
+            rlpg._held_table = None   # each point computes its own table
+            point = apply_sweep_value(cfg, variable, value)
+            assert row[2] == outage_rlpg(build_scenario(point)).outage
+
+
 def _full_scan(sc, target):
     """The rlpg count scan the search replaced: every count 0..hi, hi
     doubling from 64 up to the cap, and the first count above the target

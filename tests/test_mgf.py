@@ -21,6 +21,8 @@ from scipy import special as sp
 
 from fading_oracles import nakagami_power_gain_pdf
 from scalar_quad import adaptive_quad
+from seeded_cases import check_cases
+from test_geometry_properties import disk_and_receiver, polygon_and_receiver
 
 LN10 = math.log(10.0)
 
@@ -778,3 +780,56 @@ def test_radial_pdf_table_hands_every_thread_the_first_array():
         assert res is results[i % 20]
         assert np.array_equal(res, prof.pdf(radii[i % 20]))
         assert not res.flags.writeable
+
+
+# ----- held calls in lockstep, against empty-slot calls -----
+
+def _held_sequence(draw):
+    """A geometry, a channel and three (M, m0) calls on its held kernel,
+    with the default or a retried inversion."""
+    kind = draw.sampled_from(("disk", "vertex", "edge", "interior"))
+    if kind == "disk":
+        region, receiver = disk_and_receiver(draw)
+    else:
+        region, receiver = polygon_and_receiver(draw, kind)
+    sc = Scenario(region=region, receiver=receiver,
+                  r0=draw.floats(0.05, 0.2) * region.scale, num_interferers=1,
+                  channel=NakagamiChannel(m0=1.0,
+                                          m=draw.sampled_from((1.0, 2.5))),
+                  alpha=draw.sampled_from((3.0, 4.0)), beta=1.0,
+                  rho0=draw.log_floats(10.0, 1000.0))
+    calls = [(draw.integers(1, 8), draw.sampled_from((1.0, 1.5, 2.0, 2.5)))
+             for _ in range(3)]
+    retried = EulerInversionParams(A=4.0 * LN10, B=2, C=3)
+    return sc, calls, draw.sampled_from((None, retried))
+
+
+def _check_held_calls(sc, calls, params):
+    def call(M, m0):
+        point = replace(sc, num_interferers=M,
+                        channel=NakagamiChannel(m0=m0, m=sc.channel.m))
+        return outage_mgf(point, params=params, rel_tol=1e-6).outage
+
+    mgf._held_kernel = None
+    held = [call(M, m0) for M, m0 in calls]
+    for (M, m0), got in zip(calls[1:], held[1:]):
+        mgf._held_kernel = None
+        assert call(M, m0) == got
+
+
+def test_held_calls_match_empty_slot_calls_bit_for_bit(monkeypatch):
+    # a held call runs its nodes in lockstep on held rows and sends the
+    # nodes that miss a batch to the pool; neither moves a bit
+    served = []
+    lockstep = mgf._grouped_rows_quad
+
+    def counted(*args, **kwargs):
+        vals, errs, lost = lockstep(*args, **kwargs)
+        served.append((lost.size - lost.sum(), lost.size))
+        return vals, errs, lost
+
+    monkeypatch.setattr(mgf, "_grouped_rows_quad", counted)
+    check_cases(_check_held_calls, _held_sequence, 6, seed=27)
+    # the cases cover fully and partly held calls
+    assert any(n == size for n, size in served)
+    assert any(0 < n < size for n, size in served)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from finitenet import NumericFailure
-from finitenet.quadrature import adaptive_rows_quad
+from finitenet.quadrature import _grouped_rows_quad, adaptive_rows_quad
 
 from scalar_quad import adaptive_quad
 
@@ -93,3 +93,123 @@ def test_rows_converge_independently():
     assert abs(vals[0] - 1.0) < 1e-11
     truth = 2.0 / 1e-2 * math.atan(0.5 / 1e-2)
     assert abs(vals[1] - truth) < 1e-6 * truth
+
+
+# ----- integrals in lockstep -----
+
+def _family(k):
+    """Row family k of the lockstep tests: three rows whose peaks sit at
+    their own places, so the families refine their panels apart."""
+    centres = np.array([0.1, 0.45, 0.8])[:, None] + 0.03 * k
+    width = 10.0 ** -(2 + k % 3)
+
+    def rows(x):
+        return (1.0 / (width + (x[None, :] - centres) ** 2)
+                * np.exp(1j * (k + 1) * x[None, :]))
+    return rows
+
+
+def _lockstep(families, passes, lose=None):
+    """The families in lockstep; each call's abscissa runs are logged to
+    passes, and lose(k, x) is True where family k is to be lost."""
+    def f(x, owner):
+        cuts = np.flatnonzero(np.diff(owner)) + 1
+        runs = list(zip([0, *cuts], [*cuts, x.size]))
+        passes.append([(int(owner[i]), x[i:j].copy()) for i, j in runs])
+        y = np.empty((3, x.size), dtype=complex)
+        lost = []
+        for i, j in runs:
+            k = int(owner[i])
+            y[:, i:j] = families[k](x[i:j])
+            if lose is not None and lose(k, x[i:j]):
+                lost.append(k)
+        return y, lost
+    return f
+
+
+def test_lockstep_gives_each_integral_the_bits_of_its_own_call():
+    breaks = (0.25, 0.5)
+    for groups in (1, 4):
+        families = [_family(k) for k in range(groups)]
+        passes = []
+        vals, errs, lost = _grouped_rows_quad(
+            _lockstep(families, passes), 0.0, 1.0, groups,
+            breakpoints=breaks, rel_tol=1e-11, abs_tol=1e-14)
+        assert not lost.any()
+        for k, rows in enumerate(families):
+            alone = []
+
+            def logged(x, rows=rows):
+                alone.append(x.copy())
+                return rows(x)
+
+            v, e = adaptive_rows_quad(logged, 0.0, 1.0, breakpoints=breaks,
+                                      rel_tol=1e-11, abs_tol=1e-14)
+            assert np.array_equal(vals[k], v) and np.array_equal(errs[k], e)
+            # each round passed this integral's abscissae as its own call
+            # does, in one run, and in the order of the integrals
+            mine = [x for run in passes for owner, x in run if owner == k]
+            assert len(mine) == len(alone)
+            assert all(np.array_equal(a, b) for a, b in zip(mine, alone))
+        for run in passes:
+            owners = [owner for owner, _ in run]
+            assert owners == sorted(set(owners))
+    # the families need different numbers of rounds
+    assert len({sum(owner == k for run in passes for owner, _ in run)
+                for k in range(4)}) > 1
+
+
+def test_lost_integral_leaves_the_lockstep_and_the_rest_keep_their_bits():
+    families = [_family(k) for k in range(3)]
+    passes = []
+    lose = lambda k, x: k == 1 and len(passes) == 3   # at the third round
+    vals, errs, lost = _grouped_rows_quad(
+        _lockstep(families, passes, lose), 0.0, 1.0, 3, rel_tol=1e-11)
+    assert lost.tolist() == [False, True, False]
+    assert np.isnan(vals[1]).all() and np.isnan(errs[1]).all()
+    assert not any(owner == 1 for run in passes[3:] for owner, _ in run)
+    for k in (0, 2):
+        v, e = adaptive_rows_quad(families[k], 0.0, 1.0, rel_tol=1e-11)
+        assert np.array_equal(vals[k], v) and np.array_equal(errs[k], e)
+
+
+def _failure(call, *args, **kwargs):
+    with pytest.raises(NumericFailure) as info:
+        call(*args, **kwargs)
+    return str(info.value)
+
+
+def test_lockstep_failures_are_the_one_integral_messages():
+    singular = lambda x: 1.0 / np.sqrt(np.abs(x - 1.0 / math.pi))
+    step = lambda x: (x < 1.0 / math.pi).astype(float)
+    smooth = np.exp
+
+    def alone(g, **kwargs):
+        return _failure(adaptive_rows_quad, g, 0.0, 1.0, **kwargs)
+
+    def lockstep(gs, **kwargs):
+        def f(x, owner):
+            y = np.empty(x.size)
+            for k, g in enumerate(gs):
+                y[owner == k] = g(x[owner == k])
+            return y, ()
+        return _failure(_grouped_rows_quad, f, 0.0, 1.0, len(gs), **kwargs)
+
+    budget = dict(rel_tol=1e-13, max_panels=8)
+    over = alone(singular, **budget)
+    assert over.startswith("quadrature did not converge within 8 panels")
+    assert lockstep([smooth, singular], **budget) == over
+    stall = dict(rel_tol=1e-17, abs_tol=0.0)
+    stalled = alone(step, **stall)
+    assert stalled == "quadrature stalled: panel width underflow"
+    assert lockstep([step, smooth], **stall) == stalled
+    # the lowest-numbered failure is raised, also when a higher integral
+    # fails rounds before it: here the budget failure comes first
+    oscillating = lambda x: np.cos(2000.0 * x)
+    tight = dict(rel_tol=1e-17, abs_tol=0.0, max_panels=200)
+    assert alone(step, **tight) == stalled
+    assert alone(oscillating, **tight).startswith(
+        "quadrature did not converge within 200 panels")
+    assert lockstep([step, oscillating], **tight) == stalled
+    assert lockstep([oscillating, step], **tight) == alone(oscillating,
+                                                           **tight)
