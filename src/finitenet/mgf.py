@@ -221,10 +221,6 @@ def _kernel_key(scenario, inner_rel):
             scenario.alpha, inner_rel)
 
 
-class _Miss(Exception):
-    """A held-only lookup (see _array_memo) found no finished result."""
-
-
 def _array_memo(fn, dtype, sizes):
     """fn of one array, each result computed once per argument array (its
     shape and bytes as the given dtype) and stored read-only; each array
@@ -237,10 +233,9 @@ def _array_memo(fn, dtype, sizes):
     a later call computes the array again.
 
     A held-only lookup, memoised(x, held_only=True), returns a result only
-    if it is already finished and raises _Miss otherwise: it never
-    computes, stores or waits, also not on an array another thread is
-    still computing. memoised.stored() counts the arrays stored or in
-    progress.
+    if it is already finished and None otherwise: it never computes,
+    stores or waits, also not on an array another thread is still
+    computing.
     """
     memo = {}
     finished = {}
@@ -249,10 +244,8 @@ def _array_memo(fn, dtype, sizes):
         x = np.ascontiguousarray(x, dtype=dtype)
         key = (x.shape, x.tobytes())
         vals = finished.get(key)
-        if vals is not None:
+        if vals is not None or held_only:
             return vals
-        if held_only:
-            raise _Miss
         done = memo.get(key)
         if done is None:
             mine = Future()
@@ -269,7 +262,6 @@ def _array_memo(fn, dtype, sizes):
                     mine.set_exception(exc)
         return done.result()
 
-    memoised.stored = memo.__len__
     return memoised
 
 
@@ -334,15 +326,15 @@ def outage_mgf(scenario, params=None, rel_tol=QUADRATURE_REL_TOL):
     new panels of all live nodes in one vectorised integrand call, and each
     node looks up its own q batch with a held-only lookup (see
     _array_memo). A node whose batches the kernel has all finished
-    completes there, and one that meets a batch it lacks leaves the
-    lockstep at that round. Such a pass does no new numerical work, so on
-    a pool it would only contend for the GIL. The dropped nodes then run
-    one by one through scenario._run_calls at width scenario._CPU_WORKERS,
-    under the CPU bound the Monte Carlo chunks share. A call with
-    interferers on a kernel that holds no row batch yet would drop every
-    node, so it skips the first pass, for its retried nodes too. No pass or
-    width changes a number: each node's outer integral keeps its own
-    panels and sums, and the radial batches are memoised.
+    completes there. A batch the kernel lacks reads as NaN rows, so its
+    node ends as NaN in that round. This pass does no new numerical work,
+    so on a pool it would only contend for the GIL; on an empty kernel it
+    costs one round. Every node that ended as NaN, for a missed batch or
+    for NaN rows the kernel holds, then runs alone through
+    scenario._run_calls at width scenario._CPU_WORKERS, under the CPU
+    bound the Monte Carlo chunks share. No pass or width changes a number:
+    each node's outer integral keeps its own panels and sums, and the
+    radial batches are memoised.
 
     abs_error is the inversion's aim 10^{-digits}, not a bound (see
     EulerInversionParams). An unsettled sum or a path loss r^alpha that
@@ -380,35 +372,25 @@ def outage_mgf(scenario, params=None, rel_tol=QUADRATURE_REL_TOL):
 
     def held_transforms(svals):
         """The outer integrals of every node in lockstep, from held rows
-        only; a node whose batch the kernel lacks is lost at that batch."""
+        only; a node whose batch the kernel lacks ends as NaN there."""
 
         def grand_all(u, owner):
-            lost = []
-
             def held_rows(q):
-                inner = np.ones_like(q)
+                inner = np.empty_like(q)
                 cuts = np.flatnonzero(owner[1:] != owner[:-1]) + 1
                 for i, j in zip([0, *cuts.tolist()], [*cuts.tolist(), q.size]):
-                    try:
-                        inner[i:j] = kernel.rows(q[i:j], held_only=True)
-                    except _Miss:
-                        lost.append(owner[i])
+                    batch = kernel.rows(q[i:j], held_only=True)
+                    inner[i:j] = np.nan if batch is None else batch
                 return inner
 
-            return grand(u, svals[owner], held_rows), lost
+            return grand(u, svals[owner], held_rows)
 
-        vals, _, lost = _grouped_rows_quad(grand_all, 0.0, 1.0, svals.size,
-                                           **quad)
-        return vals[:, 0], np.flatnonzero(lost)
-
-    held_first = not num_interferers or kernel.rows.stored() > 0
+        vals, _ = _grouped_rows_quad(grand_all, 0.0, 1.0, svals.size, **quad)
+        return vals[:, 0]
 
     def sample(svals):
-        missed = np.arange(svals.size)
-        vals = np.empty(svals.size, dtype=complex)
-        if held_first:
-            (vals, missed), = _scenario._run_calls(
-                [partial(held_transforms, svals)], 1)
+        vals, = _scenario._run_calls([partial(held_transforms, svals)], 1)
+        missed = np.flatnonzero(np.isnan(vals))
         if missed.size:
             vals[missed] = _scenario._run_calls(
                 [partial(transform, svals[i]) for i in missed],

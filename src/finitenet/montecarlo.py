@@ -10,11 +10,15 @@ more of them compute at once than there are CPUs. A live chunk holds its
 n reference gains and one block of draws.
 
 A chunk draws its reference gains whole, then its interferers in blocks of
-about BLOCK_DRAWS draws, so its memory does not grow with trials times
-interferers. Each block reads its positions and gains through cursors on
-the chunk's own stream, placed where one draw of the whole chunk would
-read them, so every block gets the same bits and the count does not depend
-on the block size.
+at most BLOCK_DRAWS draws, so its memory grows neither with trials times
+interferers nor with the interferer count: a block holds whole trials
+while a trial's interferers fit in it, and part of one trial's
+interferers past that. Each block reads its positions and gains through
+cursors on the chunk's own stream, placed where one draw of the whole
+chunk would read them, so every block gets the same bits. A trial whose
+interferers span sub-blocks sums their interference sub-block by
+sub-block, so the count can depend on the block size only where a trial's
+SINR lies within rounding of the threshold.
 
 A block forms each interferer's squared offset |x - y0|^2 from the
 sampler's draws (see _squared_offsets), then its path loss as that offset
@@ -47,8 +51,8 @@ from .errors import InvalidParameterError
 
 CHUNK_TRIALS = 1 << 17
 # a chunk draws its interferers in blocks of max(1, BLOCK_DRAWS // M)
-# trials, so its arrays stay near this many draws whatever n while
-# M <= BLOCK_DRAWS, and hold M draws each past that
+# trials, each trial's in sub-blocks of at most BLOCK_DRAWS, so its arrays
+# stay near this many draws whatever n and M
 BLOCK_DRAWS = 1 << 15
 
 @dataclass(frozen=True)
@@ -257,22 +261,29 @@ def _outage_trials(scenario, trials, seed):
         *streams, gain_rng = [_cursor(rng, start + i * size)
                               for i in range(positions + 1)]
         rows = max(1, BLOCK_DRAWS // num)
+        cols = min(num, BLOCK_DRAWS)   # < num only where rows is 1
         count = 0
         for lo in range(0, n, rows):
             k = min(rows, n - lo)
             # sum over interferers of gain * |x - y0|^(-alpha), with the
-            # losses formed in place in the squared offsets
-            sq = _squared_offsets(region, y0, streams, k * num)
-            gains = gain_rng.gamma(m, 1.0 / m, (k, num))
-            # a loss past DBL_MAX reads as infinite and its trial as an
+            # losses formed in place in the squared offsets; one sub-block
+            # per block unless one trial's interferers exceed BLOCK_DRAWS.
+            # A loss past DBL_MAX reads as infinite and its trial as an
             # outage. That is the true outcome wherever
             # g0 <= beta r0^alpha DBL_MAX gain; at the least beta r0^alpha
             # check_path_loss allows (2.2e-308) it can err only where
             # g0 > 4 gain
+            interference = 0.0
+            for at in range(0, num, cols):
+                w = min(cols, num - at)
+                sq = _squared_offsets(region, y0, streams, k * w)
+                gains = gain_rng.gamma(m, 1.0 / m, (k, w))
+                with np.errstate(over="ignore", divide="ignore"):
+                    loss = np.power(sq, -half_alpha, out=sq).reshape(k, w)
+                    interference = interference + np.einsum(
+                        "ij,ij->i", gains, loss)
             with np.errstate(over="ignore", divide="ignore"):
-                loss = np.power(sq, -half_alpha, out=sq).reshape(k, num)
-                sinr = g0[lo:lo + k] / (
-                    noise + r0a * np.einsum("ij,ij->i", gains, loss))
+                sinr = g0[lo:lo + k] / (noise + r0a * interference)
             count += int(np.count_nonzero(sinr < beta))
         return count
 

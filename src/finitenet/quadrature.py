@@ -57,20 +57,18 @@ def _eval_panels(f, lo, hi, owner):
     """Gauss-Kronrod 15 on a batch of panels, owner[j] the integral of the
     j-th abscissa (see _grouped_rows_quad).
 
-    Returns (integrals, error_estimates, lost): the first two shaped
-    (rows, panels), lost as f returns it.
+    Returns (integrals, error_estimates), each shaped (rows, panels).
     """
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     x = (mid[:, None] + half[:, None] * _XGK[None, :]).ravel()
-    y, lost = f(x, owner)
-    y = np.asarray(y)
+    y = np.asarray(f(x, owner))
     if y.ndim == 1:
         y = y[None, :]
     y = y.reshape(y.shape[0], lo.size, 15)
     k = (y * _WGK).sum(axis=2) * half
     g = (y * _WG).sum(axis=2) * half
-    return k, np.abs(k - g), lost
+    return k, np.abs(k - g)
 
 
 def adaptive_rows_quad(f, a, b, *, breakpoints=(), rel_tol=1e-10, abs_tol=0.0,
@@ -86,8 +84,8 @@ def adaptive_rows_quad(f, a, b, *, breakpoints=(), rel_tol=1e-10, abs_tol=0.0,
     Returns (integrals, error_estimates) with shape (rows,).
     Raises NumericFailure if the panel budget is exhausted first.
     """
-    vals, errs, _ = _grouped_rows_quad(
-        lambda x, owner: (f(x), ()), a, b, 1, breakpoints=breakpoints,
+    vals, errs = _grouped_rows_quad(
+        lambda x, owner: f(x), a, b, 1, breakpoints=breakpoints,
         rel_tol=rel_tol, abs_tol=abs_tol, max_panels=max_panels)
     return vals[0], errs[0]
 
@@ -100,20 +98,23 @@ def _grouped_rows_quad(f, a, b, groups, *, breakpoints=(), rel_tol=1e-10,
     Every integral starts from the same panels and keeps its own, with its
     own tolerance test, split rule and panel budget. Each refinement round
     evaluates the new panels of all live integrals through one call
-    f(x, owner). x holds each integral's new abscissae in one contiguous
-    run, in the order a call with that integral alone passes them, the
-    integrals in ascending order; owner[j] is the integral of x[j]. f
-    returns (y, lost): y as adaptive_rows_quad's f returns it, for all of
-    x, and lost the integrals whose values f could not form. Those leave
-    the lockstep there, and their columns of y are not read. Each integral
+    f(x, owner), which returns y as adaptive_rows_quad's f does, for all
+    of x. x holds each integral's new abscissae in one contiguous run, in
+    the order a call with that integral alone passes them, the integrals
+    in ascending order; owner[j] is the integral of x[j]. Each integral
     sums only its own panels, so it gets the bits of a call with it alone.
 
-    Returns (integrals, error_estimates, lost): the first two shaped
-    (groups, rows), nan in the rows of a lost integral, and lost a boolean
-    array over the integrals. An integral that exhausts the panel budget,
-    or whose panels can no longer be split, fails with NumericFailure. The
-    lowest-numbered integral's failure is raised, once every integral
-    below it has finished or been lost.
+    A row whose new panels evaluate to NaN sums to NaN from that round on,
+    np.maximum carries the NaN into its tolerance, and total_err > tol is
+    False, so the row never asks for refinement. An integral whose rows
+    all turn NaN finishes in that round with NaN: it is never refined
+    again and never meets the panel budget. So f may write NaN where it
+    cannot form an integral's values.
+
+    Returns (integrals, error_estimates), each shaped (groups, rows). An
+    integral that exhausts the panel budget, or whose panels can no longer
+    be split, fails with NumericFailure. The lowest-numbered integral's
+    failure is raised, once every integral below it has finished.
     """
     a = float(a)
     b = float(b)
@@ -129,23 +130,11 @@ def _grouped_rows_quad(f, a, b, groups, *, breakpoints=(), rel_tol=1e-10,
     count = np.array([pts.size - 1] * groups)
     lo = np.concatenate([pts[:-1]] * groups)
     hi = np.concatenate([pts[1:]] * groups)
-    vals, errs, lost = _eval_panels(f, lo, hi, live.repeat(15 * count))
+    vals, errs = _eval_panels(f, lo, hi, live.repeat(15 * count))
     integrals = np.empty((groups, vals.shape[0]), dtype=vals.dtype)
     errors = np.empty((groups, vals.shape[0]))
-    dropped = np.zeros(groups, dtype=bool)
     failure = None
     while True:
-        if len(lost):
-            dropped[lost] = True
-            integrals[lost] = errors[lost] = np.nan
-            stay = ~dropped[live]
-            panels = np.repeat(stay, count)
-            live, count = live[stay], count[stay]
-            lo, hi = lo[panels], hi[panels]
-            vals = vals.compress(panels, axis=1)   # C order, as the sums need
-            errs = errs.compress(panels, axis=1)
-            if not live.size:
-                break
         # an array a with one entry or row per live integral reaches each
         # panel as a[at]; a lone integral's broadcasts as it is
         several = live.size > 1
@@ -219,7 +208,7 @@ def _grouped_rows_quad(f, a, b, groups, *, breakpoints=(), rel_tol=1e-10,
                                kind="stable")
         lo = np.concatenate([lo[keep], new_lo])
         hi = np.concatenate([hi[keep], new_hi])
-        new_vals, new_errs, lost = _eval_panels(
+        new_vals, new_errs = _eval_panels(
             f, new_lo, new_hi, live.repeat(30 * added))
         vals = np.concatenate([vals[:, keep], new_vals], axis=1)
         errs = np.concatenate([errs[:, keep], new_errs], axis=1)
@@ -229,4 +218,4 @@ def _grouped_rows_quad(f, a, b, groups, *, breakpoints=(), rel_tol=1e-10,
             errs = errs.take(order, axis=1)
     if failure is not None:
         raise failure
-    return integrals, errors, dropped
+    return integrals, errors

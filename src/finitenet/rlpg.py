@@ -115,8 +115,10 @@ def _omega_values(profile, ts, m, alpha, c):
 
 def _moment_values(profile, scenario, rate, count):
     """E{Omega_t} for t < count at the tilt c = rate * beta * r0^alpha,
-    checked positive and finite."""
+    checked positive and finite; a count the moment sums would refuse is
+    refused before any moment is formed."""
     scenario.check_path_loss(profile.r_max)
+    _check_order(count - 1)
     c = scenario.beta * scenario.r0 ** scenario.alpha * rate
     vals = _omega_values(profile, range(count), scenario.channel.m,
                          scenario.alpha, c)
@@ -154,6 +156,14 @@ def omega_expectation_table(scenario):
     return held[1]
 
 
+def _check_order(max_j):
+    if max_j > _MAX_ORDER:
+        raise NumericFailure(
+            f"moment sums up to order {max_j} need {max_j}! past the float "
+            f"range; the series engine takes orders up to {_MAX_ORDER} "
+            f"(m0 <= {_MAX_ORDER + 1})")
+
+
 def _truncated_product(a, b):
     """Coefficients of a(x) b(x) up to the degree of a, for a and b of equal
     length."""
@@ -167,11 +177,7 @@ def _interference_moment_sums(values, num_interferers, max_j):
     e0 = values[0], with the power taken by binary powering truncated at
     degree max_j. Every coefficient is positive, so nothing cancels. The
     j! are floats, so max_j is at most 170 (reference shape m0 <= 171)."""
-    if max_j > _MAX_ORDER:
-        raise NumericFailure(
-            f"moment sums up to order {max_j} need {max_j}! past the float "
-            f"range; the series engine takes orders up to {_MAX_ORDER} "
-            f"(m0 <= {_MAX_ORDER + 1})")
+    _check_order(max_j)
     e0 = values[0]
     try:
         lead = e0 ** num_interferers

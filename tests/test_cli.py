@@ -5,6 +5,7 @@ import math
 import threading
 import time
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -1329,3 +1330,126 @@ def test_sweep_rows_equal_per_point_runs(tmp_path):
             if "mc" in methods:
                 expected.append(cells[methods.index("mc")][2])
             assert row == expected, (variable, value)
+
+
+# ----- seeded calls with extreme values -----
+
+# values a field takes in one draw of eight: a zero, the least subnormal, a
+# huge, infinite or undefined number, a negative one, the first integer a
+# double cannot hold, and the shape past which gamma(m) overflows
+_EXTREMES = (0.0, 5e-324, 1e300, math.inf, math.nan, -1.0, 2.0 ** 53 + 1,
+             171.0)
+# an mgf call costs 1-2 s and every other call milliseconds, so the cases
+# are bounded by counts: mgf calls, and Monte Carlo trials times interferers
+_FUZZ_MGF_CALLS = 3
+_FUZZ_MC_DRAWS = 10 ** 6
+
+
+def _cli_call(draw):
+    """A CLI subcommand, a scenario file's fields and the extra arguments:
+    a random region, receiver and link, with one value in sixteen
+    extreme."""
+    def maybe(value):
+        return draw.sampled_from(_EXTREMES) if draw.integers(0, 15) == 0 \
+            else value
+
+    scale = draw.log_floats(1.0, 1000.0)
+    kind = draw.sampled_from(("disk", "regular_polygon", "fig2"))
+    if kind == "disk":
+        region = {"radius": maybe(scale)}
+        receiver = draw.sampled_from((
+            {"mode": "disk_offset_d", "d": maybe(draw.floats(0.0, scale))},
+            {"mode": "center"}))
+    else:
+        sides = draw.integers(3, 8) if kind == "regular_polygon" else 4
+        region = ({"num_sides": sides, "circumradius": maybe(scale)}
+                  if kind == "regular_polygon" else {"width": maybe(scale)})
+        mode = draw.sampled_from(("vertex_index", "edge_midpoint_index",
+                                  "center"))
+        receiver = {"mode": mode}
+        if mode != "center":
+            receiver["index"] = maybe(draw.integers(0, sides - 1))
+    raw = {
+        "region": {"type": kind, "params": region}, "receiver": receiver,
+        "r0": maybe(draw.floats(0.02, 0.3) * scale),
+        "M": maybe(draw.integers(0, 20)),
+        "m0": maybe(draw.sampled_from((1, 2, 3, 1.5))),
+        "m": maybe(draw.sampled_from((1, 2, 0.5, 1.5, 4))),
+        "alpha": maybe(draw.sampled_from((2.5, 3.0, 4.0))),
+        "beta_db": maybe(draw.floats(-10.0, 10.0)),
+        "snr_db": maybe(draw.floats(0.0, 40.0)),
+        "mc": {"trials": draw.integers(1, 2000),
+               "seed": draw.integers(0, 2 ** 32)},
+    }
+    command = draw.sampled_from(("run", "run", "sweep", "maxm"))
+    if command == "run":
+        # auto sends a non-integer m0 to mgf
+        args = ["--method", draw.sampled_from(("rlpg", "rlpg", "mc", "ppp",
+                                               "auto"))]
+    elif command == "maxm":
+        args = ["--method", "rlpg", "--target",
+                repr(maybe(draw.floats(1e-3, 0.5)))]
+    else:
+        variable = draw.sampled_from(
+            {"disk": ("d", "snr_db", "alpha", "M", "beta_db"),
+             "regular_polygon": ("L", "snr_db", "alpha", "M", "beta_db"),
+             "fig2": ("snr_db", "alpha", "M", "beta_db")}[kind])
+        grid = {"d": lambda: draw.floats(0.0, scale),
+                "snr_db": lambda: draw.floats(-10.0, 40.0),
+                "alpha": lambda: draw.floats(2.0, 6.0),
+                "M": lambda: draw.integers(0, 50),
+                "L": lambda: draw.integers(3, 12),
+                "beta_db": lambda: draw.floats(-10.0, 10.0)}[variable]
+        values = [maybe(grid()) for _ in range(draw.integers(1, 3))]
+        # "--values=" lets argparse take a grid that starts with a minus
+        args = ["--method", draw.sampled_from(("rlpg", "rlpg,mc", "mc")),
+                "--variable", variable,
+                "--values=" + ",".join(repr(v) for v in values)]
+    return command, raw, args
+
+
+def _check_cli_call(tmp_path, command, raw, args):
+    out = tmp_path / "fuzz.csv"
+    if out.exists():
+        out.unlink()
+    try:
+        rc = main([command, "--scenario", _write(tmp_path, raw),
+                   "--out", str(out), *args])
+    except SystemExit as exc:   # argparse refusing an argument
+        rc = exc.code
+    assert rc in (0, 2, 3), rc
+    if rc == 0:
+        header, *rows = _read_csv(str(out))
+        cols = [i for i, name in enumerate(header)
+                if name.startswith("outage")]
+        assert rows and cols
+        for row in rows:
+            for i in cols:
+                assert 0.0 <= float(row[i]) <= 1.0, (header[i], row[i])
+
+
+def test_seeded_cli_calls_exit_cleanly_with_outages_in_the_unit_range(
+        tmp_path, monkeypatch):
+    mgf_calls = []
+    mc_draws = []
+    outage_mgf_ = cli.outage_mgf
+    outage_trials = cli._outage_trials
+
+    def counted_mgf(sc, **kwargs):
+        mgf_calls.append(1)
+        assert len(mgf_calls) <= _FUZZ_MGF_CALLS
+        return outage_mgf_(sc, **kwargs)
+
+    def bounded_trials(sc, trials, seed):
+        # refused before any draw is made, so an unbounded case costs
+        # nothing
+        assert trials * sc.num_interferers <= _FUZZ_MC_DRAWS
+        mc_draws.append(trials * sc.num_interferers)
+        return outage_trials(sc, trials, seed)
+
+    monkeypatch.setattr(cli, "outage_mgf", counted_mgf)
+    monkeypatch.setattr(cli, "_outage_trials", bounded_trials)
+    monkeypatch.setattr(montecarlo, "_outage_trials", bounded_trials)
+    check_cases(partial(_check_cli_call, tmp_path), _cli_call, 200, seed=28)
+    # the cases reach the transform engine and Monte Carlo
+    assert mgf_calls and mc_draws

@@ -536,7 +536,7 @@ def test_node_pool_width_changes_no_bit(monkeypatch):
     rows = mgf._radial_mixture_rows
 
     def counted_rows(*args):
-        batches.append(1)
+        batches.append(threading.current_thread())
         return rows(*args)
 
     monkeypatch.setattr(mgf, "_radial_mixture_rows", counted_rows)
@@ -562,9 +562,16 @@ def test_node_pool_width_changes_no_bit(monkeypatch):
             monkeypatch.setattr(scenario_module, "_CPU_WORKERS", width)
             mgf._held_kernel = None   # each width computes anew
             outer.clear()
+            batches.clear()
             got[width] = outage_mgf(sc, params=params, rel_tol=1e-6).outage
+            # on the empty slot every node misses in the lockstep pass and
+            # runs its outer integral alone; on a pool, no radial batch is
+            # computed on the calling thread
             nodes = len(outer)
             assert nodes == (26 if params is None else 21), nodes
+            if width > 1:
+                assert batches
+                assert threading.current_thread() not in batches
             # on the now-held kernel a repeat runs every node on the
             # calling thread, and another M serves the nodes it can there
             batches.clear()
@@ -579,8 +586,10 @@ def test_node_pool_width_changes_no_bit(monkeypatch):
 
 def test_held_only_lookup_never_computes_stores_or_waits(monkeypatch):
     started, release = threading.Event(), threading.Event()
+    computed = []
 
     def rows(profile, m, alpha, q, rel_tol):
+        computed.append(q[0])
         if q[0] == 7.0:
             started.set()
             release.wait(timeout=60)
@@ -594,17 +603,20 @@ def test_held_only_lookup_never_computes_stores_or_waits(monkeypatch):
     stored = kernel.rows(held)
     sizes = list(kernel.sizes)
     assert kernel.rows(held.copy(), held_only=True) is stored
-    with pytest.raises(mgf._Miss):
-        kernel.rows(held + 1.0, held_only=True)
-    assert kernel.sizes == sizes and kernel.rows.stored() == 1
+    # a miss computes nothing and leaves nothing behind, not even a batch
+    # in progress: the next lookup misses too, and a plain one computes
+    for _ in range(2):
+        assert kernel.rows(held + 1.0, held_only=True) is None
+    assert kernel.sizes == sizes and computed == [0.0]
+    assert np.array_equal(kernel.rows(held + 1.0), 2.0 * (held + 1.0))
+    assert computed == [0.0, 1.0]
     # a batch another thread is still computing is a miss, not a wait
     pending = np.full(3, 7.0, dtype=complex)
     thread = threading.Thread(target=kernel.rows, args=(pending,))
     thread.start()
     try:
         assert started.wait(timeout=60)
-        with pytest.raises(mgf._Miss):
-            kernel.rows(pending, held_only=True)
+        assert kernel.rows(pending, held_only=True) is None
     finally:
         release.set()
         thread.join()
@@ -637,6 +649,34 @@ def test_failure_in_a_pool_node_stops_the_pool(monkeypatch):
     assert len(calls) == len(set(calls))
     # the nodes still queued when the failure came back were cancelled
     assert failing <= len(calls) < state["full"]
+
+
+def test_held_node_with_nan_rows_fails_as_on_an_empty_slot(monkeypatch):
+    # the c = 0 node's s is real, so its q batches, and only its, are real
+    outer = _count_outer_integrals(monkeypatch)
+    rows = mgf._radial_mixture_rows
+    computed = []
+
+    def nan_at_first_node(profile, m, alpha, q, rel_tol):
+        computed.append(1)
+        vals = rows(profile, m, alpha, q, rel_tol)
+        return vals if q.imag.any() else np.full_like(vals, np.nan)
+
+    monkeypatch.setattr(mgf, "_radial_mixture_rows", nan_at_first_node)
+    monkeypatch.setattr(scenario_module, "_CPU_WORKERS", 2)
+    sc = _pool_scenarios()[0]
+    mgf._held_kernel = None
+    with pytest.raises(NumericFailure) as empty:
+        outage_mgf(sc, rel_tol=1e-6)
+    assert computed and len(outer) == 26
+    computed.clear()
+    outer.clear()
+    # the held call computes no batch: its lockstep pass reads the node's
+    # held NaN rows, and that node's outer integral runs once more alone
+    with pytest.raises(NumericFailure) as held:
+        outage_mgf(sc, rel_tol=1e-6)
+    assert str(held.value) == str(empty.value) == "inversion sum is not finite"
+    assert not computed and len(outer) == 1
 
 
 def test_radial_pdf_is_tabulated_once_per_abscissa_array(monkeypatch):
@@ -824,9 +864,10 @@ def test_held_calls_match_empty_slot_calls_bit_for_bit(monkeypatch):
     lockstep = mgf._grouped_rows_quad
 
     def counted(*args, **kwargs):
-        vals, errs, lost = lockstep(*args, **kwargs)
-        served.append((lost.size - lost.sum(), lost.size))
-        return vals, errs, lost
+        vals, errs = lockstep(*args, **kwargs)
+        missed = np.isnan(vals).all(axis=1)
+        served.append((missed.size - missed.sum(), missed.size))
+        return vals, errs
 
     monkeypatch.setattr(mgf, "_grouped_rows_quad", counted)
     check_cases(_check_held_calls, _held_sequence, 6, seed=27)

@@ -408,12 +408,13 @@ def test_chunk_memory_stays_within_a_few_blocks():
     # peak stays under 16 arrays of BLOCK_DRAWS = 2^15 doubles, where the
     # whole-chunk layout took 46 MiB on fig2 at M = 400 and 3000 trials.
     # 3000 trials are no multiple of the 81-trial blocks of M = 400; past
-    # the budget each block is one trial
+    # the budget each block is part of one trial, and at M = 10^6 one
+    # trial's draws alone would take 31 MiB on the disk and 61 MiB on fig2
     big = montecarlo.BLOCK_DRAWS + 1
     assert 3000 % (montecarlo.BLOCK_DRAWS // 400)
     for region, y0 in ((make_fig2_region(100.0), (33.4, 80.7)),
                        (disk_region((0.0, 0.0), 100.0), (25.0, 0.0))):
-        for num, trials in ((400, 3000), (big, 3)):
+        for num, trials in ((400, 3000), (big, 3), (10 ** 6, 2)):
             sc = Scenario(region=region, receiver=y0, r0=5.0,
                           num_interferers=num,
                           channel=NakagamiChannel(m0=1.5, m=2.5), alpha=4.0,

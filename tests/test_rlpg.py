@@ -215,10 +215,13 @@ def test_moment_sums_stop_where_factorials_leave_the_float_range():
     for num_interferers in (0, 3):
         with pytest.raises(NumericFailure, match=r"m0 <= 171"):
             _interference_moment_sums([0.5] * 172, num_interferers, 171)
-    sc = _scenario(disk_region((0, 0), 100.0), (25.0, 0.0), m0=172, m=1.0,
-                   alpha=2.0, r0=0.1, M=5)
-    with pytest.raises(NumericFailure, match=r"m0 <= 171"):
-        outage_rlpg(sc)
+    # before the moment table is built: at m0 = 2^53 its range alone
+    # would not fit in memory
+    for m0 in (172, 2 ** 53):
+        sc = _scenario(disk_region((0, 0), 100.0), (25.0, 0.0), m0=m0,
+                       m=1.0, alpha=2.0, r0=0.1, M=5)
+        with pytest.raises(NumericFailure, match=r"m0 <= 171"):
+            outage_rlpg(sc)
 
 
 def _partition_moment_sums(values, num_interferers, max_j):
